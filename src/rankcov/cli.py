@@ -50,35 +50,41 @@ def parse(path: str) -> RankCode:
         pos += 1
         return item
 
-    def header(key: str) -> str:
+    def header(key: str) -> tuple:
         no, line = next_content()
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise ParseError(path, no, f"expected `{key} <value>`, got {line!r}")
-        return parts[1]
+        return no, parts[1]
 
     no, first = next_content()
     if first.split() != ["rmc", "1"]:
         raise ParseError(path, no, "missing `rmc 1` header")
 
-    def intfield(key: str) -> int:
-        v = header(key)
+    def intfield(key: str, least: int) -> tuple:
+        no, v = header(key)
         try:
-            return int(v)
+            value = int(v)
         except ValueError:
-            raise ParseError(path, lines[pos - 1][0], f"{key} must be an integer")
+            raise ParseError(path, no, f"{key} must be an integer")
+        if value < least:
+            raise ParseError(path, no, f"{key} must be at least {least}, "
+                                       f"got {value}")
+        return no, value
 
-    q = intfield("q")
-    k = intfield("k")
-    m = intfield("m")
-    kind = header("kind")
-    if kind not in ("linear", "set"):
-        raise ParseError(path, lines[pos - 1][0], "kind must be linear or set")
-    count = intfield("count")
+    no, q = intfield("q", 2)
     try:
         field = field_from_order(q)
     except ValueError as exc:
-        raise ParseError(path, 2, str(exc))
+        raise ParseError(path, no, str(exc))
+    _, k = intfield("k", 1)
+    no, m = intfield("m", 1)
+    if k > m:
+        raise ParseError(path, no, f"need k <= m, got k {k} and m {m}")
+    no, kind = header("kind")
+    if kind not in ("linear", "set"):
+        raise ParseError(path, no, "kind must be linear or set")
+    _, count = intfield("count", 0)
     mats = []
     for _ in range(count):
         rows = []
@@ -305,32 +311,42 @@ def _cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
+def _add_global_flags(p: argparse.ArgumentParser, *, seed, force,
+                      threads) -> None:
+    p.add_argument("--seed", type=int, default=seed, help="RNG seed")
+    p.add_argument("--force", action="store_true", default=force,
+                   help="override the exhaustive-search guard")
+    p.add_argument("--threads", type=int, default=threads,
+                   help="worker threads for the covering-radius scan")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rankcov",
                                 description="Exact analysis of rank-metric "
                                             "matrix codes")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--force", action="store_true",
-                   help="override the exhaustive-search guard")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the covering-radius scan")
+    _add_global_flags(p, seed=0, force=False, threads=1)
+    # The same flags after the subcommand; a suppressed default leaves a
+    # value given before the subcommand in place.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, seed=argparse.SUPPRESS,
+                      force=argparse.SUPPRESS, threads=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     for name, fn in (("info", _cmd_info), ("bounds", _cmd_bounds),
                      ("covering-radius", _cmd_covering_radius),
                      ("dual", _cmd_dual), ("initial-set", _cmd_initial_set)):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, parents=[common])
         sp.add_argument("file")
         sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("cosets")
+    sp = sub.add_parser("cosets", parents=[common])
     sp.add_argument("file")
     sp.add_argument("--X", type=int, default=None,
                     help="ambient matrix index; omit for the full table")
     sp.set_defaults(fn=_cmd_cosets)
 
     for name, fn in (("puncture", _cmd_puncture), ("shorten", _cmd_shorten)):
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, parents=[common])
         sp.add_argument("file")
         sp.add_argument("--A", default=None,
                         help="rmc file holding the k x k transform; "
@@ -340,28 +356,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen")
     gen_sub = sp.add_subparsers(dest="family", required=True)
-    g = gen_sub.add_parser("gabidulin")
+    g = gen_sub.add_parser("gabidulin", parents=[common])
     for flag in ("q", "k", "m", "d"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.set_defaults(fn=_cmd_gen)
-    g = gen_sub.add_parser("qmrd")
+    g = gen_sub.add_parser("qmrd", parents=[common])
     for flag in ("q", "k", "m", "t"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.add_argument("--randomize", action="store_true",
                    help="sample the intermediate subspace using --seed")
     g.set_defaults(fn=_cmd_gen)
-    g = gen_sub.add_parser("linmap")
+    g = gen_sub.add_parser("linmap", parents=[common])
     for flag in ("q", "s", "r"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.set_defaults(fn=_cmd_gen)
-    g = gen_sub.add_parser("random")
+    g = gen_sub.add_parser("random", parents=[common])
     for flag in ("q", "k", "m"):
         g.add_argument(f"--{flag}", type=int, required=True)
     g.add_argument("--dim", type=int, default=None)
     g.add_argument("--size", type=int, default=None)
     g.set_defaults(fn=_cmd_gen)
 
-    sp = sub.add_parser("verify-paper",
+    sp = sub.add_parser("verify-paper", parents=[common],
                         help="check the built-in reference examples")
     sp.set_defaults(fn=_cmd_verify_paper)
     return p

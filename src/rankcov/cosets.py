@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .ambient import TABLE_CAP, add_index, mat_index, rank_table
-from .codes import ENUM_GUARD, RankCode
+from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .matlin import Mat, Subspace, rank
 from .qcomb import (KrawtchoukTable, build_table, gaussian_binomial,
                     macwilliams_transform)
@@ -32,7 +32,9 @@ def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
     if X.field != C.field or (X.k, X.m) != (C.k, C.m):
         raise ValueError("translate matrix dimension/field mismatch")
     if C.cardinality() > guard:
-        raise RuntimeError("coset enumeration exceeds the work guard")
+        raise GuardExceeded(
+            f"coset enumeration over {C.cardinality()} codewords exceeds "
+            f"the guard {guard}")
     W = [0] * (C.k + 1)
     n = C.field.q ** (C.k * C.m)
     if n <= TABLE_CAP:

@@ -239,7 +239,11 @@ class BoundsReport:
 
 def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
                   force: bool = False, threads: int = 1) -> BoundsReport:
-    """Every applicable bound plus, when within the guard, exact rho."""
+    """Every applicable bound plus, when within the guard, exact rho.
+
+    When the packing lower bound meets the least upper bound, that value
+    is rho and the ambient scan is skipped.
+    """
     rep = BoundsReport(q=C.field.q, k=C.k, m=C.m,
                        cardinality=C.cardinality(),
                        dim=C.dim if C.linear else None)
@@ -267,8 +271,12 @@ def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
         rep.rho_exact = 0
     elif N <= guard or force:
         ub = min(rep.upper_bounds(), default=None)
-        rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
-                                              upper_bound=ub, threads=threads)
+        if ub is not None and ub == rep.packing_lower:
+            rep.rho_exact = ub  # lower = upper: the bounds decide rho
+        else:
+            rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
+                                                  upper_bound=ub,
+                                                  threads=threads)
     if rep.rho_exact is not None:
         if full or C.cardinality() == 1:
             rep.maximal = True

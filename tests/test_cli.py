@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from rankcov.cli import main, parse, serialize
@@ -48,6 +51,23 @@ def test_parse_error_reports_location(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse(_write(tmp_path, "bad.rmc", text))
     assert "bad.rmc:8" in str(exc.value)
+
+
+# the headers sit on lines 3-7, below a comment line
+@pytest.mark.parametrize("header,value,line", [
+    ("k", "0", 4), ("m", "0", 5), ("count", "-3", 7), ("q", "6", 3),
+    ("q", "1", 3), ("k", "3", 5)])
+def test_parse_rejects_bad_headers(tmp_path, capsys, header, value, line):
+    values = {"q": "2", "k": "1", "m": "2", "count": "0"}
+    values[header] = value
+    text = "".join(f"{key} {values[key]}\n" for key in ("q", "k", "m")) \
+        + f"kind linear\ncount {values['count']}\n"
+    path = _write(tmp_path, "bad.rmc", "# header check\nrmc 1\n" + text)
+    from rankcov.cli import ParseError
+    with pytest.raises(ParseError) as exc:
+        parse(path)
+    assert f"bad.rmc:{line}:" in str(exc.value)
+    assert main(["info", path]) == 2
 
 
 def test_info_command(tmp_path, capsys):
@@ -185,3 +205,39 @@ def test_verify_paper_all_pass(capsys):
     lines = _out_lines(capsys)
     assert len(lines) == 13
     assert all(line.endswith(" pass") for line in lines)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line.split("  #", 1)[0].strip()
+            for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_cli_lines():
+        command, _, target = line.partition(">")
+        argv = shlex.split(command)
+        assert argv[0] == "rankcov"
+        try:
+            rc = main(argv[1:])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 0, line
+        out = capsys.readouterr().out
+        if target:
+            (tmp_path / target.strip()).write_text(out)
+
+
+def test_global_flags_after_subcommand(tmp_path, capsys):
+    argv = ["gen", "random", "--q", "3", "--k", "2", "--m", "2", "--dim", "2"]
+    assert main(["--seed", "11"] + argv) == 0
+    before = capsys.readouterr().out
+    assert main(argv + ["--seed", "11"]) == 0
+    assert capsys.readouterr().out == before
+    assert main(["--seed", "11"] + argv + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == before
+    assert main(argv) == 0
+    assert capsys.readouterr().out != before

@@ -5,7 +5,7 @@ import pytest
 
 from rankcov.gfield import make_field
 from rankcov.matlin import Mat, enumerate_subspaces, random_matrix, rank
-from rankcov.codes import RankCode
+from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_linear_code
 from rankcov.cosets import (annihilator, coset_profile, high_dim_section_count,
                             moebius_complete, verify_annihilator)
@@ -52,6 +52,14 @@ def test_coset_minweight_is_distance_to_code():
 def test_coset_profile_dimension_mismatch():
     with pytest.raises(ValueError):
         coset_profile(example_3x3(), Mat.zero(F2, 2, 3))
+
+
+def test_coset_profile_guard_raises_guard_exceeded():
+    C = example_3x3()  # 16 codewords
+    X = Mat.zero(F2, 3, 3)
+    with pytest.raises(GuardExceeded):
+        coset_profile(C, X, guard=8)
+    assert coset_profile(C, X, guard=16).W == tuple(C.weight_distribution())
 
 
 def test_section_count_matches_filter():

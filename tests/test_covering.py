@@ -5,7 +5,7 @@ import pytest
 from rankcov.gfield import make_field
 from rankcov.matlin import Mat, random_matrix, rank
 from rankcov.codes import GuardExceeded, RankCode
-from rankcov.construct import random_code, random_linear_code
+from rankcov.construct import gabidulin, random_code, random_linear_code
 from rankcov.covering import (LinePattern, bound_dual_distance,
                               bound_external, bound_initial_set,
                               bounds_report, covering_radius_exact,
@@ -246,3 +246,15 @@ def test_bounds_report_zero_code():
     assert rep.rho_exact == 2
     assert rep.maximal is True
     assert rep.min_distance is None
+
+
+def test_bounds_report_lower_equals_upper_skips_scan():
+    from rankcov.ambient import rank_table
+    for q, k, m, d in ((2, 3, 3, 2), (2, 3, 3, 3), (2, 4, 4, 3), (3, 3, 3, 2),
+                       (4, 2, 3, 2), (2, 3, 6, 3)):
+        C = gabidulin(q, k, m, d)
+        rank_table.cache_clear()
+        rep = bounds_report(C)
+        assert rep.packing_lower == min(rep.upper_bounds())
+        assert rank_table.cache_info().misses == 0  # no table, no scan
+        assert rep.rho_exact == covering_radius_exact(C)
