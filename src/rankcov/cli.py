@@ -84,12 +84,16 @@ def parse(path: str) -> RankCode:
     no, kind = header("kind")
     if kind not in ("linear", "set"):
         raise ParseError(path, no, "kind must be linear or set")
-    _, count = intfield("count", 0)
+    no, count = intfield("count", 0)
+    if kind == "set" and count == 0:
+        raise ParseError(path, no, "a code is a non-empty set")
     mats = []
+    block_lines = {}  # entries -> line of the block's first row
     for _ in range(count):
-        rows = []
+        rows, first = [], None
         for _ in range(k):
             no, line = next_content()
+            first = first or no
             try:
                 row = [int(x) for x in line.split()]
             except ValueError:
@@ -100,17 +104,19 @@ def parse(path: str) -> RankCode:
                 if not 0 <= x < q:
                     raise ParseError(path, no, f"entry {x} outside [0, {q})")
             rows.append(row)
-        mats.append(Mat.from_rows(field, rows))
+        M = Mat.from_rows(field, rows)
+        if kind == "set" and M.entries in block_lines:
+            raise ParseError(path, first, "duplicate codeword, same as the "
+                             f"block at line {block_lines[M.entries]}")
+        block_lines.setdefault(M.entries, first)
+        mats.append(M)
     while pos < len(lines):
         if lines[pos][1].strip():
             raise ParseError(path, lines[pos][0], "trailing content after blocks")
         pos += 1
-    try:
-        if kind == "linear":
-            return RankCode.from_generators(field, k, m, mats)
-        return RankCode.from_codewords(field, k, m, mats)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc))
+    if kind == "linear":
+        return RankCode.from_generators(field, k, m, mats)
+    return RankCode.from_codewords(field, k, m, mats)
 
 
 def serialize(C: RankCode) -> str:
@@ -156,15 +162,14 @@ def _report_pairs(rep: covering.BoundsReport):
 
 def _cmd_bounds(args) -> int:
     C = parse(args.file)
-    rep = covering.bounds_report(C, force=args.force, threads=args.threads)
+    rep = covering.bounds_report(C, force=args.force)
     _emit(_report_pairs(rep))
     return 0
 
 
 def _cmd_covering_radius(args) -> int:
     C = parse(args.file)
-    rho = covering.covering_radius_exact(C, force=args.force,
-                                         threads=args.threads)
+    rho = covering.covering_radius_exact(C, force=args.force)
     _emit([("rho_exact", rho)])
     return 0
 
@@ -177,7 +182,12 @@ def _cmd_dual(args) -> int:
 
 def _cmd_cosets(args) -> int:
     C = parse(args.file)
+    N = C.field.q ** (C.k * C.m)
     if args.X is not None:
+        if not 0 <= args.X < N:
+            print(f"--X {args.X} outside [0, q^(km)) = [0, {N})",
+                  file=sys.stderr)
+            return EXIT_PARSE
         X = index_to_mat(C.field, C.k, C.m, args.X)
         prof = cosets.coset_profile(C, X)
         _emit([("minweight", prof.minweight),
@@ -186,7 +196,6 @@ def _cmd_cosets(args) -> int:
     if not C.linear:
         print("full coset tables require a linear code", file=sys.stderr)
         return EXIT_PARSE
-    N = C.field.q ** (C.k * C.m)
     if N > covering.DEFAULT_GUARD and not args.force:
         print(f"coset table over {N} matrices exceeds the guard; use --force",
               file=sys.stderr)
@@ -236,18 +245,10 @@ def _cmd_shorten(args) -> int:
 
 def _cmd_initial_set(args) -> int:
     C = parse(args.file)
-    inset = covering.initial_set(C)
-    d = C.min_distance() if C.cardinality() >= 2 else None
-    pairs = [("cells", " ".join(f"({i},{j})" for i, j in inset.entries))]
-    if d is not None:
-        a = C.k - d + 1
-        cells = frozenset((i, j) for i in range(1, a + 1)
-                          for j in range(1, C.m + 1)
-                          if (i, j) not in set(inset.entries))
-        pairs.append(("lambda", covering.min_line_cover(
-            covering.LinePattern(a, C.m, cells))))
-        pairs.append(("bound_initial_set", covering.bound_initial_set(C)))
-    _emit(pairs)
+    inset = covering.initial_set(C)  # a nonzero linear code: |C| >= 2
+    lam, bound = covering._initial_set_cover(C)
+    _emit([("cells", " ".join(f"({i},{j})" for i, j in inset.entries)),
+           ("lambda", lam), ("bound_initial_set", bound)])
     return 0
 
 
@@ -311,25 +312,21 @@ def _cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
-def _add_global_flags(p: argparse.ArgumentParser, *, seed, force,
-                      threads) -> None:
+def _add_global_flags(p: argparse.ArgumentParser, *, seed, force) -> None:
     p.add_argument("--seed", type=int, default=seed, help="RNG seed")
     p.add_argument("--force", action="store_true", default=force,
                    help="override the exhaustive-search guard")
-    p.add_argument("--threads", type=int, default=threads,
-                   help="worker threads for the covering-radius scan")
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rankcov",
                                 description="Exact analysis of rank-metric "
                                             "matrix codes")
-    _add_global_flags(p, seed=0, force=False, threads=1)
+    _add_global_flags(p, seed=0, force=False)
     # The same flags after the subcommand; a suppressed default leaves a
     # value given before the subcommand in place.
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, seed=argparse.SUPPRESS,
-                      force=argparse.SUPPRESS, threads=argparse.SUPPRESS)
+    _add_global_flags(common, seed=argparse.SUPPRESS, force=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True)
 
     for name, fn in (("info", _cmd_info), ("bounds", _cmd_bounds),

@@ -21,6 +21,26 @@ class GuardExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the work guard."""
 
 
+def solve_span(gens: Sequence[Mat], images: Sequence[Sequence[int]]) -> List[Mat]:
+    """Basis of the combinations sum c_j gens[j] with sum c_j images[j] = 0.
+
+    images[j] is the constraint vector of gens[j]; every image has the
+    same length.
+    """
+    if not gens:
+        return []
+    F = gens[0].field
+    sol = kernel(Mat.from_rows(F, images).transpose())
+    out = []
+    for coeffs in sol.basis:
+        M = Mat.zero(F, gens[0].k, gens[0].m)
+        for c, B in zip(coeffs, gens):
+            if c:
+                M = M + B.scale(c)
+        out.append(M)
+    return out
+
+
 class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
@@ -196,25 +216,9 @@ class RankCode:
             perp = U.orthogonal()
             if perp.dim == 0:
                 return self
-            F = self.field
-            t = len(self.basis)
-            if t == 0:
-                return self
-            # linear system on span coefficients: rows = constraints
-            P = Mat.from_rows(F, perp.basis)
-            cols = [(P @ B).entries for B in self.basis]
-            n_constraints = len(cols[0])
-            sol = kernel(Mat(F, n_constraints, t,
-                             [cols[j][i] for i in range(n_constraints)
-                              for j in range(t)]))
-            mats = []
-            for coeffs in sol.basis:
-                M = Mat.zero(F, self.k, self.m)
-                for c, B in zip(coeffs, self.basis):
-                    if c:
-                        M = M + B.scale(c)
-                mats.append(M)
-            return RankCode.from_generators(F, self.k, self.m, mats)
+            P = Mat.from_rows(self.field, perp.basis)
+            mats = solve_span(self.basis, [(P @ B).entries for B in self.basis])
+            return RankCode.from_generators(self.field, self.k, self.m, mats)
         kept = [M for M in self.words
                 if all(U.contains(M.col(j)) for j in range(self.m))]
         if not kept:

@@ -15,57 +15,13 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .gfield import FieldSpec, field_from_order
+from .gfield import (FieldSpec, _SquareAndMultiply, _digits, _mul_codes,
+                     _undigits, field_from_order, least_modulus)
 from .matlin import Mat, _rref_rows, devectorize
 from .codes import RankCode
 
 
-def _poly_mul(F: FieldSpec, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return tuple(out)
-
-
-def _poly_mod(F: FieldSpec, num, den):
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = F.inv(den[-1])
-    while len(num) - 1 >= dd:
-        if num[-1] == 0:
-            num.pop()
-            continue
-        factor = F.mul(num[-1], inv_lead)
-        shift = len(num) - 1 - dd
-        for i in range(dd + 1):
-            num[shift + i] = F.sub(num[shift + i], F.mul(factor, den[i]))
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return tuple(num)
-
-
-def _is_irreducible(F: FieldSpec, poly) -> bool:
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(F.q ** d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % F.q)
-                c //= F.q
-            div.append(1)
-            if not _poly_mod(F, poly, tuple(div)):
-                return False
-    return True
-
-
-class ExtensionField:
+class ExtensionField(_SquareAndMultiply):
     """GF(q^m) over a base GF(q), polynomial basis 1, a, ..., a^{m-1}.
 
     Elements are integers in [0, q^m) whose base-q digits (low digit
@@ -82,36 +38,13 @@ class ExtensionField:
         self.base = base
         self.degree = degree
         self.order = base.q ** degree
-        self.modulus = self._least_modulus()
-
-    def _least_modulus(self) -> Tuple[int, ...]:
-        F, m = self.base, self.degree
-        if m == 1:
-            return (0, 1)
-        for low in range(F.q ** m):
-            coeffs = []
-            c = low
-            for _ in range(m):
-                coeffs.append(c % F.q)
-                c //= F.q
-            coeffs.append(1)
-            if _is_irreducible(F, tuple(coeffs)):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
+        self.modulus = least_modulus(base, degree)
 
     def expand(self, code: int) -> Tuple[int, ...]:
-        q = self.base.q
-        out = []
-        for _ in range(self.degree):
-            out.append(code % q)
-            code //= q
-        return tuple(out)
+        return _digits(code, self.base.q, self.degree)
 
     def compress(self, digits) -> int:
-        code = 0
-        for d in reversed(tuple(digits)):
-            code = code * self.base.q + d
-        return code
+        return _undigits(digits, self.base.q)
 
     def basis_element(self, j: int) -> int:
         return self.base.q ** j
@@ -122,27 +55,7 @@ class ExtensionField:
                              for x, y in zip(self.expand(a), self.expand(b)))
 
     def mul(self, a: int, b: int) -> int:
-        F = self.base
-        pa = tuple(x for x in self.expand(a))
-        pb = tuple(x for x in self.expand(b))
-        prod = _poly_mul(F, pa, pb)
-        if self.degree > 1:
-            prod = _poly_mod(F, prod, self.modulus)
-        prod = prod + (0,) * (self.degree - len(prod))
-        return self.compress(prod)
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            return 1 if n == 0 else 0
-        n %= self.order - 1
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return _mul_codes(self.base, self.modulus, a, b)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ identity behind the external distance bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -136,24 +136,15 @@ def annihilator(C: RankCode, table: Optional[KrawtchoukTable] = None) -> Annihil
     sigma = len(roots)
     if sigma == 0:
         raise ValueError("the annihilator is undefined for the full space")
-    size = C.cardinality()
-    norm = Fraction(q ** (k * m), size)
-
-    def alpha(x: int) -> Fraction:
-        v = norm
-        for b in roots:
-            v *= (1 - Fraction(q) ** (b - x)) / (1 - q ** b)
-        return v
-
-    values = [alpha(i) for i in range(k + 1)]
+    poly = AnnihilatorPoly(q, k, m, C.cardinality(), sigma, roots, ())
+    values = [poly.evaluate(i) for i in range(k + 1)]
     coeffs = []
     for j in range(k + 1):
         cj = sum(values[i] * table.P[j][i] for i in range(k + 1))
         coeffs.append(cj / q ** (k * m))
     for j in range(sigma + 1, k + 1):
         assert coeffs[j] == 0, "annihilator degree exceeded sigma*"
-    return AnnihilatorPoly(q, k, m, size, sigma, roots,
-                           tuple(coeffs[: sigma + 1]))
+    return replace(poly, coeffs=tuple(coeffs[: sigma + 1]))
 
 
 def verify_annihilator(C: RankCode, X: Mat,

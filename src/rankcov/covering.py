@@ -8,11 +8,11 @@ bound (at which point equality is certified).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .ambient import TABLE_CAP, index_digits, mat_index, rank_table
+from .ambient import (TABLE_CAP, _rank_generic, index_digits, mat_index,
+                      rank_table)
 from .codes import GuardExceeded, RankCode
 from .qcomb import build_table, macwilliams_transform
 
@@ -21,8 +21,7 @@ DEFAULT_GUARD = 1 << 24
 
 def covering_radius_exact(C: RankCode, *, guard: int = DEFAULT_GUARD,
                           force: bool = False,
-                          upper_bound: Optional[int] = None,
-                          threads: int = 1) -> int:
+                          upper_bound: Optional[int] = None) -> int:
     """max over ambient X of min over codewords M of rank(X - M)."""
     q = C.field.q
     n = C.k * C.m
@@ -35,25 +34,9 @@ def covering_radius_exact(C: RankCode, *, guard: int = DEFAULT_GUARD,
             "pass force=True to run it anyway")
     cw = sorted(mat_index(M) for M in C.codewords(guard=max(guard, N)))
     table = rank_table(C.field, C.k, C.m) if N <= TABLE_CAP else None
-
-    if threads > 1:
-        chunk = (N + threads - 1) // threads
-        shared_best = [0]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_scan_range, C, cw, table, lo,
-                                min(lo + chunk, N), upper_bound, shared_best)
-                    for lo in range(0, N, chunk)]
-            return max(f.result() for f in futs)
-    return _scan_range(C, cw, table, 0, N, upper_bound, [0])
-
-
-def _scan_range(C: RankCode, cw: List[int], table, lo: int, hi: int,
-                upper_bound: Optional[int], shared_best: List[int]) -> int:
-    q = C.field.q
-    n = C.k * C.m
-    best = shared_best[0]
+    best = 0
     if q == 2 and table is not None:
-        for X in range(lo, hi):
+        for X in range(N):
             mn = n
             for c in cw:
                 r = table[X ^ c]
@@ -63,17 +46,12 @@ def _scan_range(C: RankCode, cw: List[int], table, lo: int, hi: int,
                         break
             if mn > best:
                 best = mn
-                shared_best[0] = max(shared_best[0], best)
-                if upper_bound is not None and best >= upper_bound:
-                    return best
-            elif shared_best[0] > best:
-                best = shared_best[0]
                 if upper_bound is not None and best >= upper_bound:
                     return best
         return best
     F = C.field
     cw_digits = [index_digits(q, n, c) for c in cw]
-    for X in range(lo, hi):
+    for X in range(N):
         xd = index_digits(q, n, X)
         mn = n
         for cd in cw_digits:
@@ -85,7 +63,6 @@ def _scan_range(C: RankCode, cw: List[int], table, lo: int, hi: int,
                     mult *= q
                 r = table[diff]
             else:
-                from .ambient import _rank_generic
                 r = _rank_generic(F, C.k, C.m,
                                   [F.sub(a, b) for a, b in zip(xd, cd)])
             if r < mn:
@@ -94,7 +71,6 @@ def _scan_range(C: RankCode, cw: List[int], table, lo: int, hi: int,
                     break
         if mn > best:
             best = mn
-            shared_best[0] = max(shared_best[0], best)
             if upper_bound is not None and best >= upper_bound:
                 return best
     return best
@@ -176,17 +152,23 @@ def min_line_cover(S: LinePattern) -> int:
     return size
 
 
-def bound_initial_set(C: RankCode) -> int:
-    """d - 1 + lambda(S), S the complement of the initial set in the
-    top d-distance-constrained strip."""
-    if not C.linear or C.dim == 0:
-        raise ValueError("the initial set bound needs a nonzero linear code")
+def _initial_set_cover(C: RankCode) -> Tuple[int, int]:
+    """(lambda(S), d - 1 + lambda(S)) for S the complement of the initial
+    set in the top d-distance-constrained strip."""
     d = C.min_distance()
     inset = set(initial_set(C).entries)
     a = C.k - d + 1
     cells = frozenset((i, j) for i in range(1, a + 1)
                       for j in range(1, C.m + 1) if (i, j) not in inset)
-    return d - 1 + min_line_cover(LinePattern(a, C.m, cells))
+    lam = min_line_cover(LinePattern(a, C.m, cells))
+    return lam, d - 1 + lam
+
+
+def bound_initial_set(C: RankCode) -> int:
+    """d - 1 + lambda(S); see :func:`_initial_set_cover`."""
+    if not C.linear or C.dim == 0:
+        raise ValueError("the initial set bound needs a nonzero linear code")
+    return _initial_set_cover(C)[1]
 
 
 # -- maximality --
@@ -238,7 +220,7 @@ class BoundsReport:
 
 
 def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
-                  force: bool = False, threads: int = 1) -> BoundsReport:
+                  force: bool = False) -> BoundsReport:
     """Every applicable bound plus, when within the guard, exact rho.
 
     When the packing lower bound meets the least upper bound, that value
@@ -275,8 +257,7 @@ def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
             rep.rho_exact = ub  # lower = upper: the bounds decide rho
         else:
             rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
-                                                  upper_bound=ub,
-                                                  threads=threads)
+                                                  upper_bound=ub)
     if rep.rho_exact is not None:
         if full or C.cardinality() == 1:
             rep.maximal = True

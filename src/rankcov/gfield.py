@@ -34,92 +34,132 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: Tuple[int, ...], den: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    """Remainder of num modulo den, coefficients mod p, constant term first."""
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    while len(num) - 1 >= dd:
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
-        for i in range(dd + 1):
-            num[shift + i] = (num[shift + i] - factor * den[i]) % p
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return tuple(num)
+def _digits(code: int, base: int, n: int) -> Tuple[int, ...]:
+    """The n base-`base` digits of code, low digit first."""
+    out = []
+    for _ in range(n):
+        out.append(code % base)
+        code //= base
+    return tuple(out)
 
 
-def _poly_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> Tuple[int, ...]:
+def _undigits(digits, base: int) -> int:
+    code = 0
+    for d in reversed(tuple(digits)):
+        code = code * base + d
+    return code
+
+
+# Polynomials over a coefficient field F (anything with q/add/sub/mul/inv)
+# are tuples of element codes, constant term first.
+
+def _poly_mul(F, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     return tuple(out)
 
 
-def _code_to_poly(code: int, p: int) -> Tuple[int, ...]:
-    digits = []
-    while code:
-        digits.append(code % p)
-        code //= p
-    return tuple(digits)
+def _poly_mod(F, num: Tuple[int, ...], den: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Remainder of num modulo den, trailing zeros stripped."""
+    num = list(num)
+    dd = len(den) - 1
+    inv_lead = F.inv(den[-1])
+    while len(num) - 1 >= dd:
+        if num[-1] == 0:
+            num.pop()
+            continue
+        factor = F.mul(num[-1], inv_lead)
+        shift = len(num) - 1 - dd
+        for i in range(dd + 1):
+            num[shift + i] = F.sub(num[shift + i], F.mul(factor, den[i]))
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return tuple(num)
 
 
-def _poly_to_code(poly: Tuple[int, ...], p: int) -> int:
-    code = 0
-    for c in reversed(poly):
-        code = code * p + c
-    return code
-
-
-def _is_irreducible(poly: Tuple[int, ...], p: int) -> bool:
+def _is_irreducible(F, poly: Tuple[int, ...]) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
-        # monic divisor: constant..(d-1) coefficients free, leading 1
-        for code in range(p ** d):
-            div = list(_code_to_poly(code, p))
-            div += [0] * (d - len(div))
-            div.append(1)
-            if not _poly_mod(poly, tuple(div), p):
+        for low in range(F.q ** d):
+            if not _poly_mod(F, poly, _digits(low, F.q, d) + (1,)):
                 return False
     return True
 
 
-class FieldSpec:
+def least_modulus(F, degree: int) -> Tuple[int, ...]:
+    """The lexicographically least monic irreducible of the given degree
+    over F, coefficients compared from the constant term upward."""
+    for low in range(F.q ** degree):
+        poly = _digits(low, F.q, degree) + (1,)
+        if _is_irreducible(F, poly):
+            return poly
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _mul_codes(F, modulus: Tuple[int, ...], a: int, b: int) -> int:
+    """Product of two element codes of F[x]/(modulus)."""
+    n = len(modulus) - 1
+    prod = _poly_mul(F, _digits(a, F.q, n), _digits(b, F.q, n))
+    return _undigits(_poly_mod(F, prod, modulus), F.q)
+
+
+class _SquareAndMultiply:
+    """`pow` for a field class that has `mul` and `order`."""
+
+    __slots__ = ()
+
+    def pow(self, a: int, n: int) -> int:
+        if a == 0:
+            return 1 if n == 0 else 0
+        n %= self.order - 1
+        result = 1
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
+
+
+class FieldSpec(_SquareAndMultiply):
     """Immutable description of GF(p^e) plus its arithmetic.
 
     Construct via :func:`make_field`; direct instantiation skips the
     deterministic-modulus guarantee.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "_prime", "_mul_table", "_inv_table")
 
     def __init__(self, p: int, e: int, modulus: Tuple[int, ...]):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus
+        self._prime = make_field(p) if e > 1 else None
         self._mul_table = None
         self._inv_table = None
         if self.q <= _TABLE_CAP:
             self._build_tables()
+
+    @property
+    def order(self) -> int:
+        return self.q
 
     def _build_tables(self) -> None:
         q = self.q
         mul = [0] * (q * q)
         inv = [0] * q
         for a in range(q):
-            pa = _code_to_poly(a, self.p)
             for b in range(a, q):
-                c = self._mul_poly(pa, _code_to_poly(b, self.p))
+                c = self._mul_direct(a, b)
                 mul[a * q + b] = c
                 mul[b * q + a] = c
                 if c == 1:
@@ -128,11 +168,10 @@ class FieldSpec:
         self._mul_table = mul
         self._inv_table = inv
 
-    def _mul_poly(self, pa, pb) -> int:
-        prod = _poly_mul(pa, pb, self.p)
-        if self.e > 1:
-            prod = _poly_mod(prod, self.modulus, self.p)
-        return _poly_to_code(prod, self.p)
+    def _mul_direct(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a * b) % self.p
+        return _mul_codes(self._prime, self.modulus, a, b)
 
     # -- element operations (codes in [0, q)) --
 
@@ -166,14 +205,14 @@ class FieldSpec:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.e == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a * self.q + b]
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._mul_poly(_code_to_poly(a, self.p), _code_to_poly(b, self.p))
+        return self._mul_direct(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -183,19 +222,6 @@ class FieldSpec:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            return 1 if n == 0 else 0
-        n %= self.q - 1
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
 
     def elements(self):
         return range(self.q)
@@ -221,13 +247,7 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
         raise ValueError(f"field order {p**e} exceeds the cap {MAX_ORDER}")
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
-    for low in range(p ** e):
-        coeffs = list(_code_to_poly(low, p))
-        coeffs += [0] * (e - len(coeffs))
-        coeffs.append(1)
-        if _is_irreducible(tuple(coeffs), p):
-            return FieldSpec(p, e, tuple(coeffs))
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return FieldSpec(p, e, least_modulus(make_field(p), e))
 
 
 def field_from_order(q: int) -> FieldSpec:

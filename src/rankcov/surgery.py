@@ -8,17 +8,19 @@ They are trace-dual to each other.
 
 from __future__ import annotations
 
-from typing import List
-
 from .matlin import Mat, rank
-from .codes import RankCode
+from .codes import RankCode, solve_span
 
 
-def _check_spec(C: RankCode, A: Mat, u: int) -> None:
+def _check_transform(C: RankCode, A: Mat) -> None:
     if A.field != C.field or A.k != C.k or A.m != C.k:
         raise ValueError("A must be k x k over the code's field")
     if rank(A) != C.k:
         raise ValueError("A must be invertible")
+
+
+def _check_spec(C: RankCode, A: Mat, u: int) -> None:
+    _check_transform(C, A)
     if not 1 <= u <= C.k - 1:
         raise ValueError(f"u must lie in [1, {C.k - 1}]")
 
@@ -30,10 +32,7 @@ def _project(M: Mat, u: int) -> Mat:
 
 def left_mul(A: Mat, C: RankCode) -> RankCode:
     """The isometric image A*C = {A M : M in C}."""
-    if A.field != C.field or A.k != C.k or A.m != C.k:
-        raise ValueError("A must be k x k over the code's field")
-    if rank(A) != C.k:
-        raise ValueError("A must be invertible")
+    _check_transform(C, A)
     if C.linear:
         return RankCode.from_generators(C.field, C.k, C.m,
                                         [A @ B for B in C.basis])
@@ -58,32 +57,10 @@ def shorten(C: RankCode, A: Mat, u: int) -> RankCode:
     if not C.contains(zero):
         raise ValueError("shortening requires 0 to be a codeword")
     if C.linear:
-        return _shorten_linear(C, A, u)
+        transformed = [A @ B for B in C.basis]
+        heads = [M.entries[: u * C.m] for M in transformed]
+        gens = [_project(M, u) for M in solve_span(transformed, heads)]
+        return RankCode.from_generators(C.field, C.k - u, C.m, gens)
     kept = [_project(A @ M, u) for M in C.words
             if all(x == 0 for x in (A @ M).entries[: u * C.m])]
     return RankCode.from_codewords(C.field, C.k - u, C.m, kept)
-
-
-def _shorten_linear(C: RankCode, A: Mat, u: int) -> RankCode:
-    """Solve for span coefficients that zero the first u rows of A*C."""
-    F = C.field
-    t = len(C.basis)
-    if t == 0:
-        return RankCode.zero_code(F, C.k - u, C.m)
-    transformed = [A @ B for B in C.basis]
-    heads: List[List[int]] = []  # columns: first u*m entries of each generator
-    for M in transformed:
-        heads.append(list(M.entries[: u * C.m]))
-    from .matlin import kernel
-    n_constraints = u * C.m
-    sol = kernel(Mat(F, n_constraints, t,
-                     [heads[j][i] for i in range(n_constraints)
-                      for j in range(t)]))
-    gens = []
-    for coeffs in sol.basis:
-        M = Mat.zero(F, C.k, C.m)
-        for c, B in zip(coeffs, transformed):
-            if c:
-                M = M + B.scale(c)
-        gens.append(_project(M, u))
-    return RankCode.from_generators(F, C.k - u, C.m, gens)

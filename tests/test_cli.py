@@ -53,6 +53,24 @@ def test_parse_error_reports_location(tmp_path):
     assert "bad.rmc:8" in str(exc.value)
 
 
+@pytest.mark.parametrize("count,blocks,line,message", [
+    (2, ["0 0", "0 0"], 11, "duplicate codeword, same as the block at line 9"),
+    (3, ["0 1", "1 1", "0 1"], 13, "duplicate codeword"),
+    (0, [], 7, "a code is a non-empty set")])
+def test_parse_reports_code_errors_at_their_line(tmp_path, capsys, count,
+                                                 blocks, line, message):
+    # headers on lines 2-7 below a comment; block i (one row, after a
+    # blank line) sits on line 9 + 2i
+    text = f"# set code\nrmc 1\nq 2\nk 1\nm 2\nkind set\ncount {count}\n"
+    text += "".join(f"\n{block}\n" for block in blocks)
+    path = _write(tmp_path, "bad.rmc", text)
+    from rankcov.cli import ParseError
+    with pytest.raises(ParseError) as exc:
+        parse(path)
+    assert f"bad.rmc:{line}: {message}" in str(exc.value)
+    assert main(["info", path]) == 2
+
+
 # the headers sit on lines 3-7, below a comment line
 @pytest.mark.parametrize("header,value,line", [
     ("k", "0", 4), ("m", "0", 5), ("count", "-3", 7), ("q", "6", 3),
@@ -91,8 +109,7 @@ def test_bounds_command(tmp_path, capsys):
 
 
 def test_covering_radius_command(tmp_path, capsys):
-    assert main(["--threads", "2", "covering-radius",
-                 _example_file(tmp_path)]) == 0
+    assert main(["--force", "covering-radius", _example_file(tmp_path)]) == 0
     assert _kv(capsys)["rho_exact"] == "2"
 
 
@@ -109,6 +126,15 @@ def test_cosets_single_translate(tmp_path, capsys):
     assert kv["minweight"] == "0"
     assert [int(x) for x in kv["weights"].split()] == \
         example_3x3().weight_distribution()
+
+
+@pytest.mark.parametrize("index,rc", [(15, 0), (16, 2), (19, 2), (-13, 2)])
+def test_cosets_rejects_out_of_range_translate(tmp_path, capsys, index, rc):
+    path = _write(tmp_path, "small.rmc", serialize(
+        RankCode.from_generators(F2, 2, 2, [Mat.identity(F2, 2)])))
+    assert main(["cosets", path, "--X", str(index)]) == rc
+    if rc:
+        assert "[0, 16)" in capsys.readouterr().err
 
 
 def test_cosets_full_table(tmp_path, capsys):
@@ -237,7 +263,7 @@ def test_global_flags_after_subcommand(tmp_path, capsys):
     before = capsys.readouterr().out
     assert main(argv + ["--seed", "11"]) == 0
     assert capsys.readouterr().out == before
-    assert main(["--seed", "11"] + argv + ["--threads", "2"]) == 0
+    assert main(["--seed", "11"] + argv + ["--force"]) == 0
     assert capsys.readouterr().out == before
     assert main(argv) == 0
     assert capsys.readouterr().out != before

@@ -22,7 +22,7 @@ def test_extension_field_gf4():
 
 
 def test_extension_field_axioms_gf8_gf9():
-    for q, m in [(2, 3), (3, 2)]:
+    for q, m in [(2, 3), (3, 2), (4, 2), (4, 3)]:
         E = extension_field(q, m)
         elems = range(E.order)
         for a in elems:
@@ -33,6 +33,26 @@ def test_extension_field_axioms_gf8_gf9():
             if a:
                 # multiplicative order divides q^m - 1
                 assert E.pow(a, E.order - 1) == 1
+
+
+# the moduli every construction depends on, pinned so that a change to the
+# least-irreducible search shows up as a test failure
+EXTENSION_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (4, 2): (2, 1, 1), (4, 3): (2, 0, 0, 1), (4, 4): (1, 2, 1, 0, 1)}
+PRIME_POWER_MODULI = {
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (7, 2): (1, 0, 1)}
+
+
+def test_moduli_are_pinned():
+    for (q, m), modulus in EXTENSION_MODULI.items():
+        assert extension_field(q, m).modulus == modulus
+        if q in (2, 3):
+            assert make_field(q, m).modulus == modulus
+    for (p, e), modulus in PRIME_POWER_MODULI.items():
+        assert make_field(p, e).modulus == modulus
 
 
 def test_extension_expand_compress_roundtrip():

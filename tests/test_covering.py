@@ -50,13 +50,6 @@ def test_rho_matches_brute_force_on_random_codes():
         assert covering_radius_exact(C) == _brute_rho(C)
 
 
-def test_rho_threads_agree_with_single_thread():
-    C = example_3x3()
-    assert covering_radius_exact(C, threads=4) == 2
-    D = example_mrd_4x4()
-    assert covering_radius_exact(D, threads=4) == 2
-
-
 def test_rho_upper_bound_early_exit_is_exact():
     C = example_3x3()
     assert covering_radius_exact(C, upper_bound=2) == 2

@@ -21,7 +21,7 @@ def test_gf9_modulus_matches_exhaustive_search():
     for low in range(9):
         c0, c1 = low % 3, low // 3
         poly = (c0, c1, 1)
-        if _is_irreducible(poly, 3):
+        if _is_irreducible(make_field(3), poly):
             expected = poly
             break
     F = make_field(3, 2)
