@@ -1,9 +1,12 @@
 """Integer indexing of the ambient space F_q^{k x m} and cached rank tables.
 
 A matrix is indexed by the little-endian base-q number whose digit t is
-the t-th row-major entry.  For q = 2 this makes matrix addition a plain
-XOR of indices, which the exhaustive scans exploit.  The packing is an
-internal optimization and never leaks into serialization.
+the t-th row-major entry (the :func:`gfield.digits` codec).  In
+characteristic 2 (q = 2, 4, 8, ...) an element code is the coordinate
+vector of the element over GF(2), so entry addition is XOR of codes and
+matrix addition is a plain XOR of indices, which the exhaustive scans
+exploit.  The packing is an internal optimization and never leaks into
+serialization.
 
 The rank table is built one (k-1)-row prefix at a time rather than one
 matrix at a time.  With Q = q^(m(k-1)), index idx = P + Q*v splits into
@@ -13,54 +16,31 @@ not yet in the span; its rank r is the number of rows added.  The whole
 matrix then has rank r if v lies in S(P) and r + 1 otherwise, so the q^m
 entries idx = P, P + Q, ..., P + (q^m - 1)Q are written by one strided
 slice.  That is q^(m(k-1)) closures of at most q^(k-1) vectors each in
-place of q^(km) row reductions.
+place of q^(km) row reductions.  A table holds q^(km) bytes; callers
+bound that size.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
 
-from .gfield import FieldSpec
+from .gfield import FieldSpec, digits, undigits
 from .matlin import Mat
-
-TABLE_CAP = 1 << 20
 
 
 def mat_index(M: Mat) -> int:
-    return digits_index(M.field.q, M.entries)
-
-
-def digits_index(q: int, digits) -> int:
-    """Inverse of index_digits: the base-q number with digit t = digits[t]."""
-    idx = 0
-    for x in reversed(digits):
-        idx = idx * q + x
-    return idx
+    return undigits(M.entries, M.field.q)
 
 
 def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
-    q = field.q
-    entries = []
-    for _ in range(k * m):
-        entries.append(idx % q)
-        idx //= q
-    return Mat(field, k, m, entries)
-
-
-def index_digits(q: int, n: int, idx: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % q)
-        idx //= q
-    return tuple(out)
+    return Mat(field, k, m, digits(idx, field.q, k * m))
 
 
 def add_index(field: FieldSpec, n: int, a: int, b: int) -> int:
     """Index of the entrywise sum of the matrices indexed a and b."""
-    q = field.q
-    if q == 2:
+    if field.p == 2:
         return a ^ b
+    q = field.q
     out = 0
     mult = 1
     for _ in range(n):
@@ -71,33 +51,11 @@ def add_index(field: FieldSpec, n: int, a: int, b: int) -> int:
     return out
 
 
-def neg_index(field: FieldSpec, n: int, a: int) -> int:
-    q = field.q
-    if q == 2:
-        return a
-    out = 0
-    mult = 1
-    for _ in range(n):
-        out += field.neg(a % q) * mult
-        a //= q
-        mult *= q
-    return out
-
-
-def _rank_generic(field: FieldSpec, k: int, m: int, digits) -> int:
-    from .matlin import _rref_rows
-    rows = [list(digits[i * m:(i + 1) * m]) for i in range(k)]
-    _, pivots = _rref_rows(field, rows)
-    return len(pivots)
-
-
 @lru_cache(maxsize=8)
 def rank_table(field: FieldSpec, k: int, m: int) -> bytes:
     """rank of every matrix in F_q^{k x m}, indexed by mat_index."""
     q = field.q
     n = q ** (k * m)
-    if n > TABLE_CAP:
-        raise ValueError(f"ambient size {n} exceeds the rank-table cap")
     width = q ** m               # row vectors, indexed like 1 x m matrices
     stride = q ** (m * (k - 1))  # (k-1)-row prefixes
     if q == 2:
@@ -106,8 +64,7 @@ def rank_table(field: FieldSpec, k: int, m: int) -> bytes:
     else:
         # every nonzero scalar multiple of every row vector, built once;
         # with k = 1 there are no prefix rows, so none are needed
-        multiples = [[digits_index(q, [field.mul(c, x)
-                                       for x in index_digits(q, m, v)])
+        multiples = [[undigits([field.mul(c, x) for x in digits(v, q, m)], q)
                       for c in range(1, q)]
                      for v in range(width if k > 1 else 0)]
 

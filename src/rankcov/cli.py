@@ -6,7 +6,8 @@ m space-separated integers in [0, q), blocks separated by one blank line.
 `#` starts a comment anywhere.  Entries are the integer element encoding
 of GF(q).
 
-Exit codes: 0 success, 2 parse error, 3 search-guard refusal.
+Exit codes: 0 success, 2 parse error or input a command rejects (the
+library's ValueError), 3 search-guard refusal.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Optional
 
 from . import construct, cosets, covering, reference, surgery
 from .ambient import index_to_mat, mat_index
-from .codes import GuardExceeded, RankCode
+from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .gfield import field_from_order
 from .matlin import Mat, rank, random_invertible
 
@@ -196,7 +197,7 @@ def _cmd_cosets(args) -> int:
     if not C.linear:
         print("full coset tables require a linear code", file=sys.stderr)
         return EXIT_PARSE
-    if N > covering.DEFAULT_GUARD and not args.force:
+    if N > ENUM_GUARD and not args.force:
         print(f"coset table over {N} matrices exceeds the guard; use --force",
               file=sys.stderr)
         return EXIT_GUARD
@@ -393,6 +394,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GuardExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_GUARD
+    except ValueError as exc:  # input the library rejects, e.g. a set code
+        print(str(exc), file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

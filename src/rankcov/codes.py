@@ -159,7 +159,8 @@ class RankCode:
         if self.cardinality() < 2:
             raise ValueError("minimum distance needs at least two codewords")
         if self.linear:
-            d = min(rank(M) for M in self.codewords(guard) if not M.is_zero())
+            W = self.weight_distribution(guard)
+            d = next(i for i in range(1, self.k + 1) if W[i])
         else:
             n = len(self.words)
             if n * (n - 1) // 2 > guard:
@@ -187,9 +188,10 @@ class RankCode:
         if n * n > guard:
             raise GuardExceeded("too many codeword pairs")
         B = [0] * (self.k + 1)
-        for a in self.words:
-            for b in self.words:
-                B[rank(a - b)] += 1
+        B[0] = n
+        for i, a in enumerate(self.words):  # rank(a - b) = rank(b - a)
+            for b in self.words[i + 1:]:
+                B[rank(a - b)] += 2
         return [Fraction(x, n) for x in B]
 
     # -- duality and sections --

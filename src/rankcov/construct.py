@@ -15,8 +15,8 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .gfield import (FieldSpec, _SquareAndMultiply, _digits, _mul_codes,
-                     _undigits, field_from_order, least_modulus)
+from .gfield import (FieldSpec, _SquareAndMultiply, _mul_codes, digits,
+                     field_from_order, least_modulus, undigits)
 from .matlin import Mat, _rref_rows, devectorize
 from .codes import RankCode
 
@@ -41,10 +41,10 @@ class ExtensionField(_SquareAndMultiply):
         self.modulus = least_modulus(base, degree)
 
     def expand(self, code: int) -> Tuple[int, ...]:
-        return _digits(code, self.base.q, self.degree)
+        return digits(code, self.base.q, self.degree)
 
     def compress(self, digits) -> int:
-        return _undigits(digits, self.base.q)
+        return undigits(digits, self.base.q)
 
     def basis_element(self, j: int) -> int:
         return self.base.q ** j

@@ -12,11 +12,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ambient import TABLE_CAP, add_index, mat_index, rank_table
+from .ambient import add_index, mat_index, rank_table
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .matlin import Mat, Subspace, rank
 from .qcomb import (KrawtchoukTable, build_table, gaussian_binomial,
                     macwilliams_transform)
+
+# coset_profile reads ranks from the cached q^(km)-byte rank table up to
+# this ambient size and computes rank(M + X) per codeword above it
+TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)

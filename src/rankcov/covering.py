@@ -1,9 +1,9 @@
 """Exact covering radius and every covering-radius bound.
 
-The exact value comes from a full scan of the ambient space, accelerated
-by a precomputed rank table, an inner-loop cutoff at the running maximum,
-and an early exit once the running maximum meets the best proven upper
-bound (at which point equality is certified).
+The exact value comes from a full scan of the ambient space, reading
+every rank from the precomputed rank table, with an inner-loop cutoff at
+the running maximum and an early exit once the running maximum meets the
+best proven upper bound (at which point equality is certified).
 """
 
 from __future__ import annotations
@@ -11,19 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .ambient import (TABLE_CAP, _rank_generic, index_digits, mat_index,
-                      rank_table)
-from .codes import GuardExceeded, RankCode
+from .ambient import mat_index, rank_table
+from .codes import ENUM_GUARD, GuardExceeded, RankCode
+from .gfield import digits
 from .qcomb import build_table, macwilliams_transform
 
-DEFAULT_GUARD = 1 << 24
 
-
-def covering_radius_exact(C: RankCode, *, guard: int = DEFAULT_GUARD,
+def covering_radius_exact(C: RankCode, *, guard: int = ENUM_GUARD,
                           force: bool = False,
                           upper_bound: Optional[int] = None) -> int:
-    """max over ambient X of min over codewords M of rank(X - M)."""
-    q = C.field.q
+    """max over ambient X of min over codewords M of rank(X - M).
+
+    The scan reads every rank from the cached q^(km)-byte rank table, so
+    the guard on q^(km) bounds the table as well as the scan.
+    """
+    F = C.field
+    q = F.q
     n = C.k * C.m
     N = q ** n
     if C.is_full_space():
@@ -33,9 +36,9 @@ def covering_radius_exact(C: RankCode, *, guard: int = DEFAULT_GUARD,
             f"ambient scan over {N} matrices exceeds the guard {guard}; "
             "pass force=True to run it anyway")
     cw = sorted(mat_index(M) for M in C.codewords(guard=max(guard, N)))
-    table = rank_table(C.field, C.k, C.m) if N <= TABLE_CAP else None
+    table = rank_table(F, C.k, C.m)
     best = 0
-    if q == 2 and table is not None:
+    if F.p == 2:  # X - c = X + c is XOR of indices
         for X in range(N):
             mn = n
             for c in cw:
@@ -49,22 +52,17 @@ def covering_radius_exact(C: RankCode, *, guard: int = DEFAULT_GUARD,
                 if upper_bound is not None and best >= upper_bound:
                     return best
         return best
-    F = C.field
-    cw_digits = [index_digits(q, n, c) for c in cw]
+    cw_digits = [digits(c, q, n) for c in cw]
     for X in range(N):
-        xd = index_digits(q, n, X)
+        xd = digits(X, q, n)
         mn = n
         for cd in cw_digits:
-            if table is not None:
-                diff = 0
-                mult = 1
-                for a, b in zip(xd, cd):
-                    diff += F.sub(a, b) * mult
-                    mult *= q
-                r = table[diff]
-            else:
-                r = _rank_generic(F, C.k, C.m,
-                                  [F.sub(a, b) for a, b in zip(xd, cd)])
+            diff = 0
+            mult = 1
+            for a, b in zip(xd, cd):
+                diff += F.sub(a, b) * mult
+                mult *= q
+            r = table[diff]
             if r < mn:
                 mn = r
                 if mn <= best:
@@ -219,7 +217,7 @@ class BoundsReport:
                             self.bound_dqmrd) if b is not None]
 
 
-def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
+def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
                   force: bool = False) -> BoundsReport:
     """Every applicable bound plus, when within the guard, exact rho.
 
@@ -259,12 +257,7 @@ def bounds_report(C: RankCode, *, guard: int = DEFAULT_GUARD,
             rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
                                                   upper_bound=ub)
     if rep.rho_exact is not None:
-        if full or C.cardinality() == 1:
-            rep.maximal = True
-        else:
-            rep.maximal = rep.rho_exact <= rep.min_distance - 1
-        if full:
-            rep.maximality_degree = 1
-        elif C.cardinality() >= 2:
+        rep.maximal = is_maximal(C, rep.rho_exact)
+        if C.cardinality() >= 2:
             rep.maximality_degree = maximality_degree(C, rep.rho_exact)
     return rep

@@ -34,8 +34,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _digits(code: int, base: int, n: int) -> Tuple[int, ...]:
-    """The n base-`base` digits of code, low digit first."""
+def digits(code: int, base: int, n: int) -> Tuple[int, ...]:
+    """The n base-`base` digits of code, low digit first.
+
+    This little-endian codec encodes field elements (digits over GF(p))
+    and ambient matrices (row-major entries over GF(q)) alike.
+    """
     out = []
     for _ in range(n):
         out.append(code % base)
@@ -43,9 +47,10 @@ def _digits(code: int, base: int, n: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _undigits(digits, base: int) -> int:
+def undigits(values, base: int) -> int:
+    """Inverse of :func:`digits`: the number with digit t = values[t]."""
     code = 0
-    for d in reversed(tuple(digits)):
+    for d in reversed(tuple(values)):
         code = code * base + d
     return code
 
@@ -89,7 +94,7 @@ def _is_irreducible(F, poly: Tuple[int, ...]) -> bool:
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for low in range(F.q ** d):
-            if not _poly_mod(F, poly, _digits(low, F.q, d) + (1,)):
+            if not _poly_mod(F, poly, digits(low, F.q, d) + (1,)):
                 return False
     return True
 
@@ -98,7 +103,7 @@ def least_modulus(F, degree: int) -> Tuple[int, ...]:
     """The lexicographically least monic irreducible of the given degree
     over F, coefficients compared from the constant term upward."""
     for low in range(F.q ** degree):
-        poly = _digits(low, F.q, degree) + (1,)
+        poly = digits(low, F.q, degree) + (1,)
         if _is_irreducible(F, poly):
             return poly
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -107,8 +112,8 @@ def least_modulus(F, degree: int) -> Tuple[int, ...]:
 def _mul_codes(F, modulus: Tuple[int, ...], a: int, b: int) -> int:
     """Product of two element codes of F[x]/(modulus)."""
     n = len(modulus) - 1
-    prod = _poly_mul(F, _digits(a, F.q, n), _digits(b, F.q, n))
-    return _undigits(_poly_mod(F, prod, modulus), F.q)
+    prod = _poly_mul(F, digits(a, F.q, n), digits(b, F.q, n))
+    return undigits(_poly_mod(F, prod, modulus), F.q)
 
 
 class _SquareAndMultiply:
@@ -154,19 +159,29 @@ class FieldSpec(_SquareAndMultiply):
         return self.q
 
     def _build_tables(self) -> None:
+        """mul/inv tables from the powers of the least generator g of the
+        multiplicative group: a*b = g^(log a + log b), 1/a = g^(-log a).
+        That is O(q) direct products instead of q^2/2."""
         q = self.q
-        mul = [0] * (q * q)
-        inv = [0] * q
-        for a in range(q):
-            for b in range(a, q):
-                c = self._mul_direct(a, b)
-                mul[a * q + b] = c
-                mul[b * q + a] = c
-                if c == 1:
-                    inv[a] = b
-                    inv[b] = a
+        for g in range(1, q):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_direct(x, g)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        logs = log[1:]
+        exp2 = exp + exp  # log a + log b < 2(q - 1): no reduction needed
+        mul = [0] * q
+        for la in logs:
+            mul.append(0)
+            mul += [exp2[la + lb] for lb in logs]
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[-la] for la in logs]
 
     def _mul_direct(self, a: int, b: int) -> int:
         if self.e == 1:

@@ -12,7 +12,7 @@ import itertools
 import random
 from typing import Iterator, List, Sequence, Tuple
 
-from .gfield import FieldSpec
+from .gfield import FieldSpec, undigits
 
 
 class Mat:
@@ -244,17 +244,13 @@ def rref(M: Mat) -> Mat:
 
 def rank(M: Mat) -> int:
     if M.field.q == 2:
-        return _rank_gf2([_pack_gf2(r) for r in M.rows()])
+        # bit t of the packed matrix is entry t; row i is bits [im, im + m)
+        m = M.m
+        bits = undigits(M.entries, 2)
+        mask = (1 << m) - 1
+        return _rank_gf2([(bits >> (i * m)) & mask for i in range(M.k)])
     rows, pivots = _rref_rows(M.field, [list(r) for r in M.rows()])
     return len(pivots)
-
-
-def _pack_gf2(row: Sequence[int]) -> int:
-    x = 0
-    for j, b in enumerate(row):
-        if b:
-            x |= 1 << j
-    return x
 
 
 def _rank_gf2(rows: List[int]) -> int:

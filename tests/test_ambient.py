@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from rankcov.ambient import (TABLE_CAP, digits_index, index_digits,
-                             index_to_mat, mat_index, rank_table)
-from rankcov.gfield import field_from_order
+from rankcov.ambient import add_index, index_to_mat, mat_index, rank_table
+from rankcov.gfield import digits, field_from_order, undigits
 from rankcov.matlin import rank
 
 # every shape k <= m with q^(km) <= 2^12, k = 1 and k = m included
@@ -32,15 +31,18 @@ def test_rank_table_matches_rank_on_sampled_indices(k, m):
         assert table[idx] == rank(index_to_mat(F, k, m, idx))
 
 
-def test_rank_table_refuses_beyond_cap():
-    F = field_from_order(2)
-    assert 2 ** 21 > TABLE_CAP
-    with pytest.raises(ValueError):
-        rank_table(F, 3, 7)
-
-
-def test_digits_index_inverts_index_digits():
+def test_undigits_inverts_digits():
     F = field_from_order(3)
     for idx in range(3 ** 6):
-        assert digits_index(3, index_digits(3, 6, idx)) == idx
+        assert undigits(digits(idx, 3, 6), 3) == idx
         assert mat_index(index_to_mat(F, 2, 3, idx)) == idx
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_add_index_xor_matches_digitwise_add(q):
+    F = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(500):
+        a, b = rng.randrange(q ** 6), rng.randrange(q ** 6)
+        total = [F.add(x, y) for x, y in zip(digits(a, q, 6), digits(b, q, 6))]
+        assert add_index(F, 6, a, b) == a ^ b == undigits(total, q)

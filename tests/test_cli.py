@@ -170,6 +170,23 @@ def test_puncture_with_seeded_transform(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["dual"], "set", "linear codes only"),
+    (["initial-set"], "set", "nonzero linear code"),
+    (["shorten", "--u", "1"], "set", "0 to be a codeword"),
+    (["initial-set"], "zero", "nonzero linear code"),
+    (["puncture", "--u", "3"], "example", "u must lie in [1, 2]"),
+    (["shorten", "--u", "0"], "example", "u must lie in [1, 2]")])
+def test_rejected_input_exits_2(tmp_path, capsys, argv, code, message):
+    C = {"set": RankCode.from_codewords(F2, 3, 3, [Mat.identity(F2, 3)]),
+         "zero": RankCode.zero_code(F2, 3, 3),
+         "example": example_3x3()}[code]
+    path = _write(tmp_path, "c.rmc", serialize(C))
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_initial_set_command(tmp_path, capsys):
     assert main(["initial-set", _example_file(tmp_path)]) == 0
     kv = _kv(capsys)

@@ -62,6 +62,19 @@ def test_coset_profile_guard_raises_guard_exceeded():
     assert coset_profile(C, X, guard=16).W == tuple(C.weight_distribution())
 
 
+def test_coset_profile_above_table_cap_builds_no_table(monkeypatch):
+    from rankcov import cosets
+
+    def no_table(*args):
+        raise AssertionError("rank table built above TABLE_CAP")
+
+    monkeypatch.setattr(cosets, "rank_table", no_table)
+    C = random_linear_code(F2, 3, 7, 3, 44)  # 2^21 ambient matrices
+    assert 2 ** 21 > cosets.TABLE_CAP
+    X = random_matrix(F2, 3, 7, random.Random(44))
+    assert coset_profile(C, X).W == _brute_profile(C, X)
+
+
 def test_section_count_matches_filter():
     rng = random.Random(43)
     C = random_linear_code(F2, 3, 3, 4, rng)

@@ -50,6 +50,24 @@ def test_rho_matches_brute_force_on_random_codes():
         assert covering_radius_exact(C) == _brute_rho(C)
 
 
+@pytest.mark.parametrize("q,k,m", [(4, 2, 2), (8, 1, 3), (8, 2, 2)])
+def test_rho_matches_brute_force_in_characteristic_2(q, k, m):
+    # the XOR scan serves every GF(2^e), not only GF(2)
+    F = make_field(2, {4: 2, 8: 3}[q])
+    rng = random.Random(q * 100 + k * 10 + m)
+    for dim in range(2 if q ** (k * m) > 1024 else 3):
+        C = random_linear_code(F, k, m, dim, rng)
+        assert covering_radius_exact(C) == _brute_rho(C)
+    for size in (1, 3, 5):
+        C = random_code(F, k, m, size, rng)
+        assert covering_radius_exact(C) == _brute_rho(C)
+
+
+def test_rho_of_gf2_3x7_zero_code_scans_beyond_2_20():
+    C = RankCode.zero_code(F2, 3, 7)
+    assert covering_radius_exact(C) == 3
+
+
 def test_rho_upper_bound_early_exit_is_exact():
     C = example_3x3()
     assert covering_radius_exact(C, upper_bound=2) == 2

@@ -1,7 +1,7 @@
 import pytest
 
 from rankcov.gfield import FieldSpec, field_from_order, make_field
-from rankcov.gfield import _is_irreducible
+from rankcov.gfield import _is_irreducible, _mul_codes
 
 
 def test_prime_field_trivial_modulus():
@@ -65,6 +65,18 @@ def test_frobenius_is_additive(p, e):
     for a in F.elements():
         for b in F.elements():
             assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
+
+
+def test_gf1024_tables_agree_with_polynomial_products():
+    import random
+    F = make_field(2, 10)
+    assert F._mul_table is not None
+    rng = random.Random(1024)
+    for _ in range(2000):
+        a, b = rng.randrange(1024), rng.randrange(1024)
+        assert F.mul(a, b) == _mul_codes(make_field(2), F.modulus, a, b)
+        if a:
+            assert _mul_codes(make_field(2), F.modulus, a, F.inv(a)) == 1
 
 
 def test_inverse_of_zero_rejected():
