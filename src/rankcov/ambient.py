@@ -8,6 +8,10 @@ matrix addition is a plain XOR of indices, which the exhaustive scans
 exploit.  The packing is an internal optimization and never leaks into
 serialization.
 
+:func:`rank_of_index` row-reduces one matrix given by its index; the
+codeword passes in :mod:`codes` use it and never build a table.  The
+covering scan, which reads every rank many times, uses the table.
+
 The rank table is built one (k-1)-row prefix at a time rather than one
 matrix at a time.  With Q = q^(m(k-1)), index idx = P + Q*v splits into
 the prefix P (the first k-1 rows) and the last row v.  The row space
@@ -23,9 +27,10 @@ bound that size.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from .gfield import FieldSpec, digits, undigits
-from .matlin import Mat
+from .matlin import Mat, _rank_gf2, _rank_rows
 
 
 def mat_index(M: Mat) -> int:
@@ -49,6 +54,24 @@ def add_index(field: FieldSpec, n: int, a: int, b: int) -> int:
         b //= q
         mult *= q
     return out
+
+
+def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
+    """The rank of a k x m matrix as a function of its index.
+
+    Each call eliminates the matrix's rows: bit-packed rows for q = 2,
+    rows of digits otherwise.  Nothing of size q^(km) is built or read.
+    """
+    n = k * m
+    if field.q == 2:
+        mask = (1 << m) - 1
+        shifts = range(0, n, m)
+        return lambda idx: _rank_gf2([(idx >> s) & mask for s in shifts])
+
+    def rank(idx: int) -> int:
+        d = digits(idx, field.q, n)
+        return _rank_rows(field, [d[s:s + m] for s in range(0, n, m)])
+    return rank
 
 
 @lru_cache(maxsize=8)

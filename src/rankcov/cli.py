@@ -17,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from . import construct, cosets, covering, reference, surgery
-from .ambient import index_to_mat, mat_index
+from .ambient import add_index, index_to_mat
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .gfield import field_from_order
 from .matlin import Mat, rank, random_invertible
@@ -208,8 +208,9 @@ def _cmd_cosets(args) -> int:
             continue
         X = index_to_mat(C.field, C.k, C.m, idx)
         prof = cosets.coset_profile(C, X)
-        for M in C.codewords():
-            seen.add(mat_index(M + X))
+        if idx == 0:  # after coset_profile, so its guard message comes first
+            words = C.word_indices()
+        seen.update(add_index(C.field, C.k * C.m, w, idx) for w in words)
         pairs.append((f"coset_{idx:0{len(str(N - 1))}d}",
                       " ".join(str(w) for w in prof.W)))
     _emit(pairs)

@@ -11,8 +11,9 @@ import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from .ambient import add_index, index_to_mat, mat_index, rank_of_index
 from .gfield import FieldSpec
-from .matlin import Mat, Subspace, _rref_rows, devectorize, rank, kernel
+from .matlin import Mat, Subspace, _rref_rows, devectorize, kernel
 
 ENUM_GUARD = 1 << 24
 
@@ -45,7 +46,8 @@ class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
     __slots__ = ("field", "k", "m", "linear", "basis", "words",
-                 "_min_distance", "_weight_distribution")
+                 "_min_distance", "_weight_distribution", "_pair_counts",
+                 "_dual")
 
     def __init__(self, field: FieldSpec, k: int, m: int, *,
                  basis: Optional[Tuple[Mat, ...]] = None,
@@ -60,6 +62,8 @@ class RankCode:
         self.words = words
         self._min_distance = None
         self._weight_distribution = None
+        self._pair_counts = None
+        self._dual = None
 
     # -- constructors --
 
@@ -118,20 +122,33 @@ class RankCode:
     def is_full_space(self) -> bool:
         return self.linear and len(self.basis) == self.k * self.m
 
-    def codewords(self, guard: int = ENUM_GUARD) -> Iterator[Mat]:
-        """All codewords; for linear codes the span is expanded basis by basis."""
+    def word_indices(self, guard: int = ENUM_GUARD) -> List[int]:
+        """The ambient index of every codeword.  A linear code is expanded
+        basis by basis, so words[q^j : 2q^j] are the words whose last
+        nonzero basis coefficient is 1."""
         if not self.linear:
-            yield from self.words
-            return
+            return [mat_index(M) for M in self.words]
         if self.cardinality() > guard:
             raise GuardExceeded(
                 f"code has {self.cardinality()} words, guard is {guard}")
         F = self.field
-        words = [Mat.zero(F, self.k, self.m)]
+        n = self.k * self.m
+        words = [0]
         for B in self.basis:
-            scaled = [B.scale(c) for c in range(1, F.q)]
-            words += [w + s for s in scaled for w in words]
-        yield from words
+            scaled = [mat_index(B.scale(c)) for c in range(1, F.q)]
+            if F.p == 2:
+                words += [w ^ s for s in scaled for w in words]
+            else:
+                words += [add_index(F, n, w, s) for s in scaled for w in words]
+        return words
+
+    def codewords(self, guard: int = ENUM_GUARD) -> Iterator[Mat]:
+        """All codewords, in the order of :meth:`word_indices`."""
+        if not self.linear:
+            yield from self.words
+            return
+        for idx in self.word_indices(guard):
+            yield index_to_mat(self.field, self.k, self.m, idx)
 
     def contains(self, X: Mat) -> bool:
         if X.field != self.field or (X.k, X.m) != (self.k, self.m):
@@ -158,27 +175,55 @@ class RankCode:
             return self._min_distance
         if self.cardinality() < 2:
             raise ValueError("minimum distance needs at least two codewords")
-        if self.linear:
+        if self.is_full_space():
+            d = 1
+        elif self.linear:
             W = self.weight_distribution(guard)
             d = next(i for i in range(1, self.k + 1) if W[i])
         else:
             n = len(self.words)
             if n * (n - 1) // 2 > guard:
                 raise GuardExceeded("too many codeword pairs")
-            d = min(rank(a - b)
-                    for i, a in enumerate(self.words)
-                    for b in self.words[i + 1:])
+            P = self._pairs()
+            d = next(i for i in range(1, self.k + 1) if P[i])
         self._min_distance = d
         return d
 
     def weight_distribution(self, guard: int = ENUM_GUARD) -> List[int]:
+        """W_i = number of codewords of rank i.  A linear code row-reduces
+        only the (|C|-1)/(q-1) words whose last nonzero basis coefficient
+        is 1, each standing for its q-1 nonzero multiples."""
         if self._weight_distribution is not None:
             return list(self._weight_distribution)
+        words = self.word_indices(guard)
+        rank = rank_of_index(self.field, self.k, self.m)
         W = [0] * (self.k + 1)
-        for M in self.codewords(guard):
-            W[rank(M)] += 1
+        if self.linear:
+            q = self.field.q
+            W[0] = 1
+            for j in range(len(self.basis)):
+                for w in words[q ** j: 2 * q ** j]:
+                    W[rank(w)] += q - 1
+        else:
+            for w in words:
+                W[rank(w)] += 1
         self._weight_distribution = tuple(W)
         return W
+
+    def _pairs(self) -> Tuple[int, ...]:
+        """Ordered pairs of distinct words of a set at each distance,
+        counted once per code; rank(a - b) is read off the index a + (-b)."""
+        if self._pair_counts is None:
+            F, n = self.field, self.k * self.m
+            idx = [mat_index(M) for M in self.words]
+            neg = [mat_index(-M) for M in self.words]
+            rank = rank_of_index(F, self.k, self.m)
+            P = [0] * (self.k + 1)
+            for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
+                for b in neg[i + 1:]:
+                    P[rank(add_index(F, n, a, b))] += 2
+            self._pair_counts = tuple(P)
+        return self._pair_counts
 
     def distance_distribution(self, guard: int = ENUM_GUARD) -> List[Fraction]:
         """B_i = (ordered pairs at distance i) / |C|; equals W for linear codes."""
@@ -187,11 +232,8 @@ class RankCode:
         n = len(self.words)
         if n * n > guard:
             raise GuardExceeded("too many codeword pairs")
-        B = [0] * (self.k + 1)
+        B = list(self._pairs())
         B[0] = n
-        for i, a in enumerate(self.words):  # rank(a - b) = rank(b - a)
-            for b in self.words[i + 1:]:
-                B[rank(a - b)] += 2
         return [Fraction(x, n) for x in B]
 
     # -- duality and sections --
@@ -200,14 +242,17 @@ class RankCode:
         """Trace-dual; the right null space of the vectorized basis."""
         if not self.linear:
             raise ValueError("the dual is defined for linear codes only")
-        n = self.k * self.m
-        if not self.basis:
-            return RankCode.full_space(self.field, self.k, self.m)
-        gen = Mat(self.field, len(self.basis), n,
-                  [x for B in self.basis for x in B.entries])
-        ker = kernel(gen)
-        mats = [devectorize(self.field, v, self.k, self.m) for v in ker.basis]
-        return RankCode.from_generators(self.field, self.k, self.m, mats)
+        if self._dual is None:
+            if not self.basis:
+                self._dual = RankCode.full_space(self.field, self.k, self.m)
+            else:
+                gen = Mat(self.field, len(self.basis), self.k * self.m,
+                          [x for B in self.basis for x in B.entries])
+                mats = [devectorize(self.field, v, self.k, self.m)
+                        for v in kernel(gen).basis]
+                self._dual = RankCode.from_generators(self.field, self.k,
+                                                      self.m, mats)
+        return self._dual
 
     def restrict(self, U: Subspace) -> "RankCode":
         """C(U): codewords whose column space lies inside U <= F_q^k."""

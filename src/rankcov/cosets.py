@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ambient import add_index, mat_index, rank_table
+from .ambient import add_index, mat_index, rank_of_index, rank_table
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
-from .matlin import Mat, Subspace, rank
+from .matlin import Mat, Subspace
 from .qcomb import (KrawtchoukTable, build_table, gaussian_binomial,
                     macwilliams_transform)
 
 # coset_profile reads ranks from the cached q^(km)-byte rank table up to
-# this ambient size and computes rank(M + X) per codeword above it
+# this ambient size and row-reduces M + X per codeword above it
 TABLE_CAP = 1 << 20
 
 
@@ -39,17 +39,15 @@ def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
         raise GuardExceeded(
             f"coset enumeration over {C.cardinality()} codewords exceeds "
             f"the guard {guard}")
-    W = [0] * (C.k + 1)
-    n = C.field.q ** (C.k * C.m)
-    if n <= TABLE_CAP:
-        table = rank_table(C.field, C.k, C.m)
-        x_idx = mat_index(X)
-        nn = C.k * C.m
-        for M in C.codewords(guard):
-            W[table[add_index(C.field, nn, mat_index(M), x_idx)]] += 1
+    F, n = C.field, C.k * C.m
+    if F.q ** n <= TABLE_CAP:
+        rank = rank_table(F, C.k, C.m).__getitem__
     else:
-        for M in C.codewords(guard):
-            W[rank(M + X)] += 1
+        rank = rank_of_index(F, C.k, C.m)
+    x_idx = mat_index(X)
+    W = [0] * (C.k + 1)
+    for w in C.word_indices(guard):
+        W[rank(add_index(F, n, w, x_idx))] += 1
     minweight = next(i for i, w in enumerate(W) if w)
     return CosetProfile(C, X, tuple(W), minweight)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .ambient import mat_index, rank_table
+from .ambient import rank_table
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .gfield import digits
 from .qcomb import build_table, macwilliams_transform
@@ -35,7 +35,7 @@ def covering_radius_exact(C: RankCode, *, guard: int = ENUM_GUARD,
         raise GuardExceeded(
             f"ambient scan over {N} matrices exceeds the guard {guard}; "
             "pass force=True to run it anyway")
-    cw = sorted(mat_index(M) for M in C.codewords(guard=max(guard, N)))
+    cw = sorted(C.word_indices(guard=max(guard, N)))
     table = rank_table(F, C.k, C.m)
     best = 0
     if F.p == 2:  # X - c = X + c is XOR of indices

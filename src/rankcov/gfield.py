@@ -197,6 +197,8 @@ class FieldSpec(_SquareAndMultiply):
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
+        if self.p == 2:  # element codes are GF(2) coordinate vectors
+            return a ^ b
         p = self.p
         out = 0
         mult = 1
@@ -210,6 +212,8 @@ class FieldSpec(_SquareAndMultiply):
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         out = 0
         mult = 1
@@ -222,6 +226,8 @@ class FieldSpec(_SquareAndMultiply):
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -249,12 +249,30 @@ def rank(M: Mat) -> int:
         bits = undigits(M.entries, 2)
         mask = (1 << m) - 1
         return _rank_gf2([(bits >> (i * m)) & mask for i in range(M.k)])
-    rows, pivots = _rref_rows(M.field, [list(r) for r in M.rows()])
-    return len(pivots)
+    return _rank_rows(M.field, M.rows())
+
+
+def _rank_rows(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
+    """Rank of rows of element codes, by forward elimination against the
+    rows kept so far, each scaled to a leading 1.  ``field.mul`` and
+    ``field.inv`` read the field's tables up to order 1024."""
+    mul, inv, sub = field.mul, field.inv, field.sub
+    basis = {}  # pivot column -> kept row
+    for v in rows:
+        for t in range(len(v)):
+            c = v[t]
+            if c:
+                b = basis.get(t)
+                if b is None:
+                    c = inv(c)
+                    basis[t] = [mul(c, x) for x in v]
+                    break
+                v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+    return len(basis)
 
 
 def _rank_gf2(rows: List[int]) -> int:
-    """Rank of bit-packed GF(2) rows.  Internal fast path only."""
+    """Rank of bit-packed GF(2) rows: the q = 2 case of :func:`_rank_rows`."""
     basis = {}  # pivot bit -> reduced row
     for v in rows:
         while v:

@@ -243,6 +243,17 @@ def test_guard_refusal_exit_3(tmp_path, capsys):
     assert main(["covering-radius", path]) == 3
 
 
+def test_bounds_on_zero_code_beyond_guard(tmp_path, capsys):
+    # the dual is the full space, whose minimum distance is 1 without
+    # enumerating its 4^25 words; the scan is refused, so no rho_exact
+    C = RankCode.zero_code(make_field(2, 2), 5, 5)
+    path = _write(tmp_path, "zero.rmc", serialize(C))
+    assert main(["bounds", path]) == 0
+    kv = _kv(capsys)
+    assert kv["bound_dual_distance"] == "5"
+    assert "rho_exact" not in kv
+
+
 def test_verify_paper_all_pass(capsys):
     assert main(["verify-paper"]) == 0
     lines = _out_lines(capsys)

@@ -1,0 +1,162 @@
+"""The index-native codeword pass against the Mat path.
+
+Codewords are enumerated as ambient indices and their ranks read from
+``ambient.rank_of_index``; here every result is compared with the same
+quantity computed on ``Mat`` objects: the span expanded by matrix
+addition, and ranks from ``matlin.rank`` and from the RREF pivot count.
+"""
+
+import random
+
+import pytest
+
+from rankcov import codes
+from rankcov.ambient import index_to_mat, mat_index, rank_of_index
+from rankcov.codes import GuardExceeded, RankCode
+from rankcov.construct import random_code, random_linear_code
+from rankcov.covering import external_distance
+from rankcov.gfield import field_from_order
+from rankcov.matlin import Mat, _rref_rows, rank
+
+FIELDS = (2, 3, 4, 5, 8, 9)
+
+# every shape k <= m with q^(km) <= 2^12, k = 1 and k = m included
+INDEX_SHAPES = [(q, k, m) for q in FIELDS
+                for k in range(1, 13) for m in range(k, 13)
+                if q ** (k * m) <= 1 << 12]
+
+
+def rref_rank(M):
+    """Pivot count of the RREF, independent of the rank kernels."""
+    return len(_rref_rows(M.field, [list(r) for r in M.rows()])[1])
+
+
+def mat_expansion(C):
+    """A linear code's span, expanded on Mat objects basis by basis."""
+    F = C.field
+    words = [Mat.zero(F, C.k, C.m)]
+    for B in C.basis:
+        words += [w + B.scale(c) for c in range(1, F.q) for w in words]
+    return words
+
+
+def linear_codes(q):
+    """Seeded random linear codes plus the zero code and the full space."""
+    F = field_from_order(q)
+    rng = random.Random(q)
+    out = [RankCode.zero_code(F, 2, 3), RankCode.full_space(F, 1, 2)]
+    if q ** 4 <= 1 << 10:
+        out.append(RankCode.full_space(F, 2, 2))
+    for k, m in ((1, 3), (2, 2), (2, 3)):
+        for dim in range(1, k * m):
+            if q ** dim <= 1 << 10:
+                out.append(random_linear_code(F, k, m, dim, rng))
+    return out
+
+
+def explicit_codes(q):
+    F = field_from_order(q)
+    rng = random.Random(100 + q)
+    return [random_code(F, k, m, size, rng)
+            for k, m in ((1, 3), (2, 2), (2, 3)) for size in (2, 5, 8)]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_word_indices_match_mat_expansion(q):
+    for C in linear_codes(q):
+        idx = C.word_indices()
+        assert len(idx) == C.cardinality()
+        assert idx == [mat_index(M) for M in mat_expansion(C)]
+        assert list(C.codewords()) == [index_to_mat(C.field, C.k, C.m, i)
+                                       for i in idx]
+    for C in explicit_codes(q):
+        assert C.word_indices() == [mat_index(M) for M in C.words]
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_weight_distribution_matches_rank(q):
+    for C in linear_codes(q) + explicit_codes(q):
+        words = mat_expansion(C) if C.linear else C.words
+        W = [0] * (C.k + 1)
+        for M in words:
+            assert rank(M) == rref_rank(M)
+            W[rank(M)] += 1
+        assert C.weight_distribution() == W
+        if C.linear and C.cardinality() > 1:
+            assert C.min_distance() == next(i for i in range(1, C.k + 1)
+                                            if W[i])
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_pair_distribution_matches_rank_of_differences(q):
+    for C in explicit_codes(q):
+        n = len(C.words)
+        B = [0] * (C.k + 1)
+        for a in C.words:
+            for b in C.words:
+                assert rank(a - b) == rref_rank(a - b)
+                B[rank(a - b)] += 1
+        assert [x * n for x in C.distance_distribution()] == B
+        assert C.min_distance() == next(i for i in range(1, C.k + 1) if B[i])
+
+
+@pytest.mark.parametrize("q,k,m", INDEX_SHAPES)
+def test_rank_of_index_matches_rank_on_every_index(q, k, m):
+    F = field_from_order(q)
+    rank_at = rank_of_index(F, k, m)
+    mats = [index_to_mat(F, k, m, idx) for idx in range(q ** (k * m))]
+    assert [rank_at(idx) for idx in range(q ** (k * m))] \
+        == [rank(M) for M in mats] == [rref_rank(M) for M in mats]
+
+
+@pytest.mark.parametrize("q", [1031, 2048])
+def test_rank_of_index_without_field_tables(q):
+    F = field_from_order(q)
+    assert F._mul_table is None  # above order 1024: F.mul / F.inv compute
+    rng = random.Random(q)
+    k, m = 2, 3
+    rank_at = rank_of_index(F, k, m)
+    for r in (0, 1, 2, 2, 2):
+        M = Mat.zero(F, k, m)
+        for _ in range(r):  # a sum of r rank-one matrices
+            A = Mat(F, k, 1, [rng.randrange(q) for _ in range(k)])
+            B = Mat(F, 1, m, [rng.randrange(q) for _ in range(m)])
+            M = M + A @ B
+        assert rank_at(mat_index(M)) == rank(M) == rref_rank(M)
+
+
+def test_set_invariants_share_one_pair_pass(monkeypatch):
+    calls = []
+
+    def counting(field, k, m):
+        inner = rank_of_index(field, k, m)
+        return lambda idx: calls.append(idx) or inner(idx)
+
+    monkeypatch.setattr(codes, "rank_of_index", counting)
+    C = random_code(field_from_order(3), 2, 3, 9, 5)
+    C.min_distance()
+    C.distance_distribution()
+    external_distance(C)
+    assert len(calls) == 9 * 8 // 2
+
+
+def test_set_pair_guards_keep_their_own_counts():
+    C = random_code(field_from_order(2), 2, 3, 6, 1)
+    with pytest.raises(GuardExceeded, match="too many codeword pairs"):
+        C.distance_distribution(guard=35)  # 36 ordered pairs
+    assert C.min_distance(guard=15) >= 1  # 15 unordered pairs
+    with pytest.raises(GuardExceeded, match="too many codeword pairs"):
+        C.distance_distribution(guard=35)
+
+
+def test_dual_is_computed_once():
+    C = random_linear_code(field_from_order(4), 2, 3, 2, 7)
+    assert C.dual() is C.dual()
+
+
+def test_min_distance_of_full_space_enumerates_nothing():
+    F = field_from_order(4)
+    C = RankCode.full_space(F, 5, 5)  # 4^25 words, far beyond the guard
+    assert C.min_distance() == 1
+    with pytest.raises(GuardExceeded):
+        C.weight_distribution()

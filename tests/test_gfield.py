@@ -1,6 +1,6 @@
 import pytest
 
-from rankcov.gfield import FieldSpec, field_from_order, make_field
+from rankcov.gfield import FieldSpec, digits, field_from_order, make_field
 from rankcov.gfield import _is_irreducible, _mul_codes
 
 
@@ -57,6 +57,20 @@ def test_field_axioms_exhaustive(p, e):
         assert F.add(a, F.neg(a)) == 0
         if a:
             assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_characteristic_2_add_matches_digitwise_definition(e):
+    F = make_field(2, e)
+    for a in F.elements():
+        da = digits(a, 2, e)
+        assert F.neg(a) == sum(((-x) % 2) << t for t, x in enumerate(da))
+        for b in F.elements():
+            db = digits(b, 2, e)
+            assert F.add(a, b) == sum(((x + y) % 2) << t
+                                      for t, (x, y) in enumerate(zip(da, db)))
+            assert F.sub(a, b) == sum(((x - y) % 2) << t
+                                      for t, (x, y) in enumerate(zip(da, db)))
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (5, 2)])
