@@ -1,33 +1,23 @@
-"""Integer indexing of the ambient space F_q^{k x m} and cached rank tables.
+"""Integer indexing of the ambient space F_q^{k x m} and rank-distance balls.
 
 A matrix is indexed by the little-endian base-q number whose digit t is
 the t-th row-major entry (the :func:`gfield.digits` codec).  In
-characteristic 2 (q = 2, 4, 8, ...) an element code is the coordinate
-vector of the element over GF(2), so entry addition is XOR of codes and
-matrix addition is a plain XOR of indices, which the exhaustive scans
-exploit.  The packing is an internal optimization and never leaks into
-serialization.
+characteristic 2 an element code is the element's GF(2) coordinate
+vector, so matrix addition is XOR of indices.  The packing never leaks
+into serialization.  :func:`rank_of_index` row-reduces one matrix; the
+codeword passes in :mod:`codes` use it.
 
-:func:`rank_of_index` row-reduces one matrix given by its index; the
-codeword passes in :mod:`codes` use it and never build a table.  The
-covering scan, which reads every rank many times, uses the table.
-
-The rank table is built one (k-1)-row prefix at a time rather than one
-matrix at a time.  With Q = q^(m(k-1)), index idx = P + Q*v splits into
-the prefix P (the first k-1 rows) and the last row v.  The row space
-S(P) of the prefix is closed up once, from {0}, adding each row that is
-not yet in the span; its rank r is the number of rows added.  The whole
-matrix then has rank r if v lies in S(P) and r + 1 otherwise, so the q^m
-entries idx = P, P + Q, ..., P + (q^m - 1)Q are written by one strided
-slice.  That is q^(m(k-1)) closures of at most q^(k-1) vectors each in
-place of q^(km) row reductions.  A table holds q^(km) bytes; callers
-bound that size.
+Rank distance is graph distance in the bilinear-forms graph, whose edges
+are rank-1 steps: rank(A) is the least number of rank-1 matrices that
+sum to A.  So the covering radius of a code is the number of balls
+:func:`rank_balls` grows around it, and :func:`rank_table` reads every
+rank off the balls around {0}.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .gfield import FieldSpec, digits, undigits
 from .matlin import Mat, _rank_gf2, _rank_rows
@@ -74,39 +64,83 @@ def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
     return rank
 
 
+@lru_cache(maxsize=32)
+def _rank_one_steps(field: FieldSpec, k: int, m: int) -> tuple:
+    """Per projective u in F_q^k, the F_p-basis u (x^s e_j)^T (s < e,
+    j < m) of the matrices of rank <= 1 with column space <u>.  A step is
+    the list of its index's base-p digit positions, each repeated once
+    per unit of its digit; entry (i, j) holds digits e(im + j) onward."""
+    p, e, q = field.p, field.e, field.q
+    groups = []
+    for code in range(1, q ** k):
+        u = digits(code, q, k)
+        if next(x for x in reversed(u) if x) == 1:  # one u per point
+            groups.append(tuple(
+                tuple(e * (i * m + j) + t for i, x in enumerate(u)
+                      for t, c in enumerate(digits(field.mul(x, p ** s), p, e))
+                      for _ in range(c))
+                for j in range(m) for s in range(e)))
+    return tuple(groups)
+
+
+def rank_balls(field: FieldSpec, k: int, m: int,
+               centres: Iterable[int]) -> Iterator[int]:
+    """The rank-distance balls of radius 0, 1, ... around the matrices
+    indexed by centres that are not the whole space, as bitsets of
+    q^(km) bits (bit X is matrix X).
+
+    Radius r + 1 is the union over projective u of radius r closed under
+    u's rank-1 steps.  A step adds its base-p digits one at a time, and
+    adding 1 to digit t rotates the p blocks of width p^t in every block
+    of width p^(t+1): one mask and two shifts.
+    """
+    p = field.p
+    n = k * m * field.e  # base-p digits of an index
+    N = p ** n
+    full = (1 << N) - 1
+    rotations = []  # digit t: (indices whose digit t is below p - 1, shifts)
+    for w in (p ** t for t in range(n)):
+        mask, span = (1 << (p - 1) * w) - 1, p * w
+        while span < N:
+            mask, span = mask | mask << span, 2 * span
+        rotations.append((mask & full, w, (p - 1) * w))
+    start = bytearray((N + 7) // 8)
+    for c in centres:
+        start[c >> 3] |= 1 << (c & 7)
+    ball = int.from_bytes(start, "little")
+    groups = _rank_one_steps(field, k, m)
+    for _ in range(k):  # rank <= k, so the ball of radius k is full
+        if ball == full:
+            return
+        yield ball
+        grown = ball
+        for group in groups:
+            span = ball
+            for step in group:
+                for _ in range(p - 1):
+                    moved = span
+                    for t in step:
+                        mask, up, down = rotations[t]
+                        low = moved & mask
+                        moved = (low << up) | ((moved ^ low) >> down)
+                    span |= moved
+            grown |= span
+        ball = grown
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @lru_cache(maxsize=8)
 def rank_table(field: FieldSpec, k: int, m: int) -> bytes:
-    """rank of every matrix in F_q^{k x m}, indexed by mat_index."""
-    q = field.q
-    n = q ** (k * m)
-    width = q ** m               # row vectors, indexed like 1 x m matrices
-    stride = q ** (m * (k - 1))  # (k-1)-row prefixes
-    if q == 2:
-        def extend(span, row):
-            return [s ^ row for s in span]
-    else:
-        # every nonzero scalar multiple of every row vector, built once;
-        # with k = 1 there are no prefix rows, so none are needed
-        multiples = [[undigits([field.mul(c, x) for x in digits(v, q, m)], q)
-                      for c in range(1, q)]
-                     for v in range(width if k > 1 else 0)]
-
-        def extend(span, row):
-            return [add_index(field, m, s, t)
-                    for s in span for t in multiples[row]]
-    out = bytearray(n)
-    for P in range(stride):
-        span = {0}
-        r = 0
-        rest = P
-        for _ in range(k - 1):
-            row = rest % width
-            rest //= width
-            if row not in span:
-                span.update(extend(span, row))
-                r += 1
-        line = bytearray((r + 1,)) * width
-        for s in span:
-            line[s] = r
-        out[P::stride] = line
-    return bytes(out)
+    """rank of every matrix in F_q^{k x m}, indexed by mat_index: byte X
+    counts the balls around {0} that miss X.  Callers bound its q^(km)
+    bytes."""
+    N = field.q ** (k * m)
+    full = (1 << N) - 1
+    table = 0
+    for ball in rank_balls(field, k, m, [0]):
+        # one byte per bit: the binary string's characters, 0 or 1
+        missed = format(full ^ ball, f"0{N}b").encode()
+        table += int.from_bytes(missed.translate(_BIT_BYTES), "big")
+    return table.to_bytes(N, "little")

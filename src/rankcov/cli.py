@@ -17,10 +17,10 @@ import sys
 from typing import List, Optional
 
 from . import construct, cosets, covering, reference, surgery
-from .ambient import add_index, index_to_mat
+from .ambient import index_to_mat
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
-from .gfield import field_from_order
-from .matlin import Mat, rank, random_invertible
+from .gfield import digits, field_from_order
+from .matlin import Mat, _rref_rows, rank, random_invertible
 
 EXIT_PARSE = 2
 EXIT_GUARD = 3
@@ -201,16 +201,15 @@ def _cmd_cosets(args) -> int:
         print(f"coset table over {N} matrices exceeds the guard; use --force",
               file=sys.stderr)
         return EXIT_GUARD
-    seen = set()
+    # a coset's least index is its one member that is zero at the pivots
+    # of the basis echelonized from the top digit
+    n, q = C.k * C.m, C.field.q
+    _, top = _rref_rows(C.field, [list(reversed(B.entries)) for B in C.basis])
+    free = [t for t in range(n) if n - 1 - t not in top]
     pairs = []
-    for idx in range(N):
-        if idx in seen:
-            continue
-        X = index_to_mat(C.field, C.k, C.m, idx)
-        prof = cosets.coset_profile(C, X)
-        if idx == 0:  # after coset_profile, so its guard message comes first
-            words = C.word_indices()
-        seen.update(add_index(C.field, C.k * C.m, w, idx) for w in words)
+    for j in range(q ** len(free)):
+        idx = sum(d * q ** t for d, t in zip(digits(j, q, len(free)), free))
+        prof = cosets.coset_profile(C, index_to_mat(C.field, C.k, C.m, idx))
         pairs.append((f"coset_{idx:0{len(str(N - 1))}d}",
                       " ".join(str(w) for w in prof.W)))
     _emit(pairs)

@@ -1,9 +1,8 @@
 """Exact covering radius and every covering-radius bound.
 
-The exact value comes from a full scan of the ambient space, reading
-every rank from the precomputed rank table, with an inner-loop cutoff at
-the running maximum and an early exit once the running maximum meets the
-best proven upper bound (at which point equality is certified).
+The exact value is the number of rank-1 steps it takes the ball around
+the code to fill the ambient space (:func:`ambient.rank_balls`), cut
+short once it is certified to equal the best proven upper bound.
 """
 
 from __future__ import annotations
@@ -11,67 +10,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .ambient import rank_table
+from .ambient import rank_balls
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
-from .gfield import digits
 from .qcomb import build_table, macwilliams_transform
 
 
 def covering_radius_exact(C: RankCode, *, guard: int = ENUM_GUARD,
                           force: bool = False,
                           upper_bound: Optional[int] = None) -> int:
-    """max over ambient X of min over codewords M of rank(X - M).
-
-    The scan reads every rank from the cached q^(km)-byte rank table, so
-    the guard on q^(km) bounds the table as well as the scan.
-    """
-    F = C.field
-    q = F.q
-    n = C.k * C.m
-    N = q ** n
+    """max over ambient X of min over codewords M of rank(X - M): the
+    radius of the first rank-distance ball around C that is the whole
+    space.  The guard on q^(km) bounds the balls' bits as well as the
+    search.  With an upper bound u, a ball of radius u - 1 that is not
+    full proves rho = u."""
+    N = C.field.q ** (C.k * C.m)
     if C.is_full_space():
         return 0
     if N > guard and not force:
         raise GuardExceeded(
             f"ambient scan over {N} matrices exceeds the guard {guard}; "
             "pass force=True to run it anyway")
-    cw = sorted(C.word_indices(guard=max(guard, N)))
-    table = rank_table(F, C.k, C.m)
-    best = 0
-    if F.p == 2:  # X - c = X + c is XOR of indices
-        for X in range(N):
-            mn = n
-            for c in cw:
-                r = table[X ^ c]
-                if r < mn:
-                    mn = r
-                    if mn <= best:
-                        break
-            if mn > best:
-                best = mn
-                if upper_bound is not None and best >= upper_bound:
-                    return best
-        return best
-    cw_digits = [digits(c, q, n) for c in cw]
-    for X in range(N):
-        xd = digits(X, q, n)
-        mn = n
-        for cd in cw_digits:
-            diff = 0
-            mult = 1
-            for a, b in zip(xd, cd):
-                diff += F.sub(a, b) * mult
-                mult *= q
-            r = table[diff]
-            if r < mn:
-                mn = r
-                if mn <= best:
-                    break
-        if mn > best:
-            best = mn
-            if upper_bound is not None and best >= upper_bound:
-                return best
-    return best
+    rho = 0
+    for _ in rank_balls(C.field, C.k, C.m, C.word_indices(guard=max(guard, N))):
+        rho += 1
+        if rho == upper_bound:
+            break
+    return rho
 
 
 # -- individual bounds --
@@ -222,7 +186,7 @@ def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
     """Every applicable bound plus, when within the guard, exact rho.
 
     When the packing lower bound meets the least upper bound, that value
-    is rho and the ambient scan is skipped.
+    is rho and the ball search is skipped.
     """
     rep = BoundsReport(q=C.field.q, k=C.k, m=C.m,
                        cardinality=C.cardinality(),

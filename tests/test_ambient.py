@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from rankcov.ambient import add_index, index_to_mat, mat_index, rank_table
+from rankcov.ambient import (add_index, index_to_mat, mat_index, rank_balls,
+                             rank_table)
 from rankcov.gfield import digits, field_from_order, undigits
 from rankcov.matlin import rank
 
 # every shape k <= m with q^(km) <= 2^12, k = 1 and k = m included
-SMALL_SHAPES = [(q, k, m) for q in (2, 3, 4)
+SMALL_SHAPES = [(q, k, m) for q in (2, 3, 4, 5, 8, 9)
                 for k in range(1, 13) for m in range(k, 13)
                 if q ** (k * m) <= 1 << 12]
 
@@ -29,6 +30,22 @@ def test_rank_table_matches_rank_on_sampled_indices(k, m):
     rng = random.Random(20 * k + m)
     for idx in rng.sample(range(2 ** (k * m)), 2000):
         assert table[idx] == rank(index_to_mat(F, k, m, idx))
+
+
+@pytest.mark.parametrize("q,k,m", [(2, 2, 3), (3, 2, 2), (4, 2, 2),
+                                   (5, 1, 3), (8, 1, 2), (9, 1, 2)])
+def test_rank_balls_hold_the_matrices_within_each_radius(q, k, m):
+    F = field_from_order(q)
+    N = q ** (k * m)
+    rng = random.Random(q * 100 + k * 10 + m)
+    for size in (1, 2, 5):
+        centres = rng.sample(range(N), size)
+        dist = [min(rank(index_to_mat(F, k, m, x) - index_to_mat(F, k, m, c))
+                    for c in centres) for x in range(N)]
+        balls = list(rank_balls(F, k, m, centres))
+        assert len(balls) == max(dist)
+        for r, ball in enumerate(balls):
+            assert [ball >> x & 1 for x in range(N)] == [d <= r for d in dist]
 
 
 def test_undigits_inverts_digits():

@@ -1,11 +1,15 @@
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
+from rankcov.ambient import add_index, index_to_mat
 from rankcov.cli import main, parse, serialize
 from rankcov.codes import RankCode
-from rankcov.gfield import make_field
+from rankcov.construct import random_linear_code
+from rankcov.cosets import coset_profile
+from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat
 from rankcov.reference import example_3x3
 
@@ -145,6 +149,30 @@ def test_cosets_full_table(tmp_path, capsys):
     assert len(lines) == 8  # q^{km} / |C| cosets
     total = sum(int(x) for line in lines for x in line.split()[1:])
     assert total == 16
+
+
+@pytest.mark.parametrize("q,k,m", [(2, 2, 3), (3, 2, 2), (4, 2, 2)])
+def test_cosets_full_table_lists_least_index_per_coset(tmp_path, capsys, q, k, m):
+    F = field_from_order(q)
+    N = q ** (k * m)
+    rng = random.Random(q * 100 + k * 10 + m)
+    for dim in (0, 1, 2, 3):
+        C = random_linear_code(F, k, m, dim, rng)
+        words = C.word_indices()
+        least = set()
+        seen = set()
+        for idx in range(N):  # brute force: a coset's first index
+            if idx not in seen:
+                least.add(idx)
+                seen.update(add_index(F, k * m, w, idx) for w in words)
+        assert main(["cosets", _write(tmp_path, "c.rmc", serialize(C))]) == 0
+        lines = _out_lines(capsys)
+        reps = [int(line.split()[0][len("coset_"):]) for line in lines]
+        assert reps == sorted(least)
+        for idx, line in zip(reps, lines):
+            X = index_to_mat(F, k, m, idx)
+            W = " ".join(str(w) for w in coset_profile(C, X).W)
+            assert line.split(" ", 1)[1] == W
 
 
 def test_puncture_and_shorten_commands(tmp_path, capsys):

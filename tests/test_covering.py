@@ -63,6 +63,22 @@ def test_rho_matches_brute_force_in_characteristic_2(q, k, m):
         assert covering_radius_exact(C) == _brute_rho(C)
 
 
+@pytest.mark.parametrize("q,k,m", [(5, 1, 3), (5, 2, 2), (9, 1, 3), (9, 2, 2)])
+def test_rho_matches_brute_force_for_odd_p(q, k, m):
+    # odd p with e = 1 (GF(5)) and e = 2 (GF(9)): digit rotations by p^t
+    F = make_field(*{5: (5, 1), 9: (3, 2)}[q])
+    rng = random.Random(q * 100 + k * 10 + m)
+    codes = [random_linear_code(F, k, m, dim, rng) for dim in (0, 1)]
+    codes += [random_code(F, k, m, size, rng) for size in (1, 3, 6)]
+    if q ** (k * m) <= 1000:
+        codes.append(random_linear_code(F, k, m, 2, rng))
+    for C in codes:
+        rho = _brute_rho(C)
+        assert covering_radius_exact(C) == rho
+        for ub in (rho, rho + 1):
+            assert covering_radius_exact(C, upper_bound=ub) == rho
+
+
 def test_rho_of_gf2_3x7_zero_code_scans_beyond_2_20():
     C = RankCode.zero_code(F2, 3, 7)
     assert covering_radius_exact(C) == 3
@@ -259,13 +275,21 @@ def test_bounds_report_zero_code():
     assert rep.min_distance is None
 
 
-def test_bounds_report_lower_equals_upper_skips_scan():
-    from rankcov.ambient import rank_table
+def test_bounds_report_lower_equals_upper_skips_scan(monkeypatch):
+    import rankcov.covering as covering
+    searches = []
+    search = covering.rank_balls
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+    monkeypatch.setattr(covering, "rank_balls", counted)
     for q, k, m, d in ((2, 3, 3, 2), (2, 3, 3, 3), (2, 4, 4, 3), (3, 3, 3, 2),
                        (4, 2, 3, 2), (2, 3, 6, 3)):
         C = gabidulin(q, k, m, d)
-        rank_table.cache_clear()
         rep = bounds_report(C)
         assert rep.packing_lower == min(rep.upper_bounds())
-        assert rank_table.cache_info().misses == 0  # no table, no scan
+        assert not searches  # no ball search
         assert rep.rho_exact == covering_radius_exact(C)
+        assert len(searches) == 1
+        searches.clear()
