@@ -14,6 +14,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .ambient import add_index, index_to_mat, mat_index, rank_of_index
 from .gfield import FieldSpec
 from .matlin import Mat, Subspace, _rref_rows, devectorize, kernel
+from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
 
@@ -175,9 +176,7 @@ class RankCode:
             return self._min_distance
         if self.cardinality() < 2:
             raise ValueError("minimum distance needs at least two codewords")
-        if self.is_full_space():
-            d = 1
-        elif self.linear:
+        if self.linear:
             W = self.weight_distribution(guard)
             d = next(i for i in range(1, self.k + 1) if W[i])
         else:
@@ -190,11 +189,30 @@ class RankCode:
         return d
 
     def weight_distribution(self, guard: int = ENUM_GUARD) -> List[int]:
-        """W_i = number of codewords of rank i.  A linear code row-reduces
-        only the (|C|-1)/(q-1) words whose last nonzero basis coefficient
-        is 1, each standing for its q-1 nonzero multiples."""
-        if self._weight_distribution is not None:
-            return list(self._weight_distribution)
+        """W_i = number of codewords of rank i.
+
+        A linear code enumerates the smaller of C and its dual (C on a
+        tie), so the guard counts that side, and the other side's
+        distribution is the exact MacWilliams transform of it.  The
+        enumeration row-reduces only the (|C|-1)/(q-1) words whose last
+        nonzero basis coefficient is 1, each standing for its q-1 nonzero
+        multiples."""
+        if self._weight_distribution is None:
+            if self.linear and 2 * len(self.basis) > self.k * self.m:
+                D = self.dual()
+                if D.cardinality() > guard:
+                    raise GuardExceeded(f"code has {self.cardinality()} "
+                                        f"words, guard is {guard}")
+                W = dual_weight_distribution(
+                    D.weight_distribution(guard), D.cardinality(),
+                    build_table(self.k, self.m, self.field.q))
+            else:
+                W = self._enumerated_weights(guard)
+            self._weight_distribution = tuple(W)
+            self._seed_dual()
+        return list(self._weight_distribution)
+
+    def _enumerated_weights(self, guard: int) -> List[int]:
         words = self.word_indices(guard)
         rank = rank_of_index(self.field, self.k, self.m)
         W = [0] * (self.k + 1)
@@ -207,8 +225,16 @@ class RankCode:
         else:
             for w in words:
                 W[rank(w)] += 1
-        self._weight_distribution = tuple(W)
         return W
+
+    def _seed_dual(self) -> None:
+        """Hand a built dual the transform of a known distribution.  The
+        dual keeps no link back, so a code and its dual form no cycle."""
+        D, W = self._dual, self._weight_distribution
+        if D is not None and W is not None and D._weight_distribution is None:
+            D._weight_distribution = tuple(dual_weight_distribution(
+                W, self.cardinality(),
+                build_table(self.k, self.m, self.field.q)))
 
     def _pairs(self) -> Tuple[int, ...]:
         """Ordered pairs of distinct words of a set at each distance,
@@ -252,6 +278,7 @@ class RankCode:
                         for v in kernel(gen).basis]
                 self._dual = RankCode.from_generators(self.field, self.k,
                                                       self.m, mats)
+            self._seed_dual()
         return self._dual
 
     def restrict(self, U: Subspace) -> "RankCode":

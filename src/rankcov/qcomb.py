@@ -97,3 +97,16 @@ def macwilliams_transform(B: Sequence, codesize: int,
         acc = sum(Fraction(B[j]) * table.P[j][i] for j in range(table.k + 1))
         out.append(acc / codesize)
     return out
+
+
+def dual_weight_distribution(W: Sequence[int], codesize: int,
+                             table: KrawtchoukTable) -> List[int]:
+    """The weight distribution of the dual of a linear code with weight
+    distribution W: the exact MacWilliams transform, which must be
+    integral.  A fractional entry raises ArithmeticError, since no code
+    has that distribution; nothing is rounded."""
+    out = macwilliams_transform(W, codesize, table)
+    if any(x.denominator != 1 for x in out):
+        raise ArithmeticError(f"MacWilliams transform of {list(W)} over "
+                              f"{codesize} words is not integral")
+    return [x.numerator for x in out]

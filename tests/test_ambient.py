@@ -63,3 +63,22 @@ def test_add_index_xor_matches_digitwise_add(q):
         a, b = rng.randrange(q ** 6), rng.randrange(q ** 6)
         total = [F.add(x, y) for x, y in zip(digits(a, q, 6), digits(b, q, 6))]
         assert add_index(F, 6, a, b) == a ^ b == undigits(total, q)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 27, 1031])
+def test_add_index_chunks_match_digitwise_add(q):
+    # GF(3), GF(9), GF(27) add four base-3 digits per table lookup, GF(5)
+    # and GF(7) two; n = 1..7 entries leave partial last chunks, and
+    # GF(1031) is beyond the table and adds digit by digit
+    F = field_from_order(q)
+    rng = random.Random(q)
+    for n in range(1, 8):
+        top = q ** n - 1
+        pairs = [(0, 0), (top, top), (top, 1), (1, top), (0, top)]
+        pairs += [(rng.randrange(q ** n), rng.randrange(q ** n))
+                  for _ in range(200)]
+        pairs += [(rng.randrange(q), rng.randrange(q ** n)) for _ in range(20)]
+        for a, b in pairs:
+            total = [F.add(x, y)
+                     for x, y in zip(digits(a, q, n), digits(b, q, n))]
+            assert add_index(F, n, a, b) == undigits(total, q)

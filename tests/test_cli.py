@@ -10,7 +10,7 @@ from rankcov.codes import RankCode
 from rankcov.construct import random_linear_code
 from rankcov.cosets import coset_profile
 from rankcov.gfield import field_from_order, make_field
-from rankcov.matlin import Mat
+from rankcov.matlin import Mat, rank
 from rankcov.reference import example_3x3
 
 F2 = make_field(2)
@@ -279,6 +279,20 @@ def test_bounds_on_zero_code_beyond_guard(tmp_path, capsys):
     assert main(["bounds", path]) == 0
     kv = _kv(capsys)
     assert kv["bound_dual_distance"] == "5"
+    assert "rho_exact" not in kv
+
+
+def test_bounds_on_high_rate_code_beyond_guard(tmp_path, capsys):
+    # 4^24 words, but the guard counts the enumerated side, the 4-word
+    # dual; the scan over 4^25 matrices is still refused
+    F = make_field(2, 2)
+    C = random_linear_code(F, 5, 5, 24, random.Random(24))
+    path = _write(tmp_path, "high.rmc", serialize(C))
+    assert main(["bounds", path]) == 0
+    kv = _kv(capsys)
+    (B,) = parse(path).dual().basis
+    assert kv["min_distance"] == "1"
+    assert kv["bound_dual_distance"] == str(5 - rank(B) + 1)
     assert "rho_exact" not in kv
 
 

@@ -6,6 +6,7 @@ quantity computed on ``Mat`` objects: the span expanded by matrix
 addition, and ranks from ``matlin.rank`` and from the RREF pivot count.
 """
 
+import gc
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from rankcov.construct import random_code, random_linear_code
 from rankcov.covering import external_distance
 from rankcov.gfield import field_from_order
 from rankcov.matlin import Mat, _rref_rows, rank
+from rankcov.qcomb import (build_table, dual_weight_distribution,
+                           rank_sphere_size)
 
 FIELDS = (2, 3, 4, 5, 8, 9)
 
@@ -158,5 +161,142 @@ def test_min_distance_of_full_space_enumerates_nothing():
     F = field_from_order(4)
     C = RankCode.full_space(F, 5, 5)  # 4^25 words, far beyond the guard
     assert C.min_distance() == 1
-    with pytest.raises(GuardExceeded):
+    # the transform of the distribution of the one-word dual
+    assert C.weight_distribution() == [rank_sphere_size(i, 5, 5, 4)
+                                       for i in range(6)]
+
+
+# -- the smaller side of the MacWilliams pair --
+
+# shapes whose ambient has at most 2^12 matrices, so both C and its dual
+# can be enumerated directly; k = 1 and k = m included
+PAIR_SHAPES = {2: ((1, 4), (2, 2), (2, 5), (3, 3), (3, 4)),
+               3: ((1, 3), (2, 2), (2, 3), (1, 7)),
+               4: ((1, 3), (2, 2), (2, 3)),
+               5: ((1, 2), (2, 2), (1, 5)),
+               8: ((1, 2), (2, 2), (1, 4)),
+               9: ((1, 3), (2, 2))}
+
+
+def pair_codes(q):
+    """Per shape: the zero code, the full space and seeded random linear
+    codes of every other dimension (two of each where the space allows)."""
+    F = field_from_order(q)
+    rng = random.Random(1000 + q)
+    for k, m in PAIR_SHAPES[q]:
+        yield RankCode.zero_code(F, k, m)
+        yield RankCode.full_space(F, k, m)
+        for dim in range(1, k * m):
+            for _ in range(2 if k * m <= 6 else 1):
+                yield random_linear_code(F, k, m, dim, rng)
+
+
+def enumerated_weights(C):
+    """W of C from every word's rank: no projective shortcut, no transform."""
+    rank_at = rank_of_index(C.field, C.k, C.m)
+    W = [0] * (C.k + 1)
+    for w in C.word_indices():
+        W[rank_at(w)] += 1
+    return W
+
+
+def fresh(C):
+    """An equal code with nothing computed yet."""
+    return RankCode.from_generators(C.field, C.k, C.m, list(C.basis))
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_pair_distributions_match_enumeration_in_every_call_order(q):
+    for C in pair_codes(q):
+        W = enumerated_weights(C)
+        WD = enumerated_weights(fresh(C).dual())
+        A = fresh(C)  # the code's distribution first, then the dual's
+        assert A.weight_distribution() == W
+        assert A.dual().weight_distribution() == WD
+        B = fresh(C)  # the dual built first
+        D = B.dual()
+        assert B.weight_distribution() == W
+        assert D.weight_distribution() == WD
+        E = fresh(C)  # the dual's distribution first
+        assert E.dual().weight_distribution() == WD
+        assert E.weight_distribution() == W
+        if C.cardinality() > 1:
+            assert fresh(C).min_distance() == next(
+                i for i in range(1, C.k + 1) if W[i])
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
+    calls = []
+
+    def counting(field, k, m):
+        inner = rank_of_index(field, k, m)
+        return lambda idx: calls.append(idx) or inner(idx)
+
+    monkeypatch.setattr(codes, "rank_of_index", counting)
+    for C in pair_codes(q):
+        for dual_first in (False, True):
+            A = fresh(C)
+            if dual_first:
+                A.dual()
+            calls.clear()
+            A.weight_distribution()
+            A.dual().weight_distribution()
+            external_distance(A)
+            small = min(A.cardinality(), A.dual().cardinality())
+            assert len(calls) == (small - 1) // (q - 1)  # projective words
+
+
+def test_guard_counts_the_enumerated_side():
+    F = field_from_order(2)
+    C = random_linear_code(F, 3, 4, 10, random.Random(5))  # dual: 4 words
+    assert fresh(C).weight_distribution(guard=4) \
+        == enumerated_weights(C)
+    with pytest.raises(GuardExceeded, match="code has 1024 words, guard is 3"):
+        fresh(C).weight_distribution(guard=3)
+    with pytest.raises(GuardExceeded, match="code has 4 words, guard is 3"):
+        fresh(C).dual().weight_distribution(guard=3)
+
+
+def test_dual_weight_distribution_rejects_fractions():
+    T = build_table(2, 2, 2)
+    assert dual_weight_distribution([1, 0, 0], 1, T) == [1, 9, 6]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        dual_weight_distribution([1, 0, 0], 3, T)  # 1/3 is not a count
+    with pytest.raises(ArithmeticError, match="not integral"):
+        dual_weight_distribution([1, 2, 0], 2, build_table(2, 3, 2))
+
+
+def _rank_codes_left_for_gc(build):
+    """The RankCode objects that only the cyclic collector would free
+    after build() returns: every object gc finds unreachable is kept in
+    gc.garbage instead of freed."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build()
+        gc.collect()
+        return [o for o in gc.garbage if isinstance(o, RankCode)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+def test_code_and_dual_form_no_reference_cycle():
+    F = field_from_order(3)
+
+    def read_both(dim, dual_first):
+        C = random_linear_code(F, 2, 3, dim, random.Random(dim))
+        if dual_first:
+            C.dual().min_distance()
         C.weight_distribution()
+        C.dual().weight_distribution()
+        external_distance(C)
+        C.is_dually_QMRD()
+
+    for dim in (1, 3, 5):
+        for dual_first in (False, True):
+            assert _rank_codes_left_for_gc(
+                lambda: read_both(dim, dual_first)) == []
