@@ -133,14 +133,13 @@ class RankCode:
             raise GuardExceeded(
                 f"code has {self.cardinality()} words, guard is {guard}")
         F = self.field
-        n = self.k * self.m
         words = [0]
         for B in self.basis:
             scaled = [mat_index(B.scale(c)) for c in range(1, F.q)]
             if F.p == 2:
                 words += [w ^ s for s in scaled for w in words]
             else:
-                words += [add_index(F, n, w, s) for s in scaled for w in words]
+                words += [add_index(F, w, s) for s in scaled for w in words]
         return words
 
     def codewords(self, guard: int = ENUM_GUARD) -> Iterator[Mat]:
@@ -240,14 +239,14 @@ class RankCode:
         """Ordered pairs of distinct words of a set at each distance,
         counted once per code; rank(a - b) is read off the index a + (-b)."""
         if self._pair_counts is None:
-            F, n = self.field, self.k * self.m
+            F = self.field
             idx = [mat_index(M) for M in self.words]
             neg = [mat_index(-M) for M in self.words]
             rank = rank_of_index(F, self.k, self.m)
             P = [0] * (self.k + 1)
             for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
                 for b in neg[i + 1:]:
-                    P[rank(add_index(F, n, a, b))] += 2
+                    P[rank(add_index(F, a, b))] += 2
             self._pair_counts = tuple(P)
         return self._pair_counts
 

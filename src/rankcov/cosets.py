@@ -47,7 +47,7 @@ def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
     x_idx = mat_index(X)
     W = [0] * (C.k + 1)
     for w in C.word_indices(guard):
-        W[rank(add_index(F, n, w, x_idx))] += 1
+        W[rank(add_index(F, w, x_idx))] += 1
     minweight = next(i for i, w in enumerate(W) if w)
     return CosetProfile(C, X, tuple(W), minweight)
 

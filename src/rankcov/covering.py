@@ -50,16 +50,10 @@ def bound_dual_distance(C: RankCode) -> int:
 
 
 def external_distance(C: RankCode) -> int:
-    """Number of indices i >= 1 with a positive transformed entry.  For a
-    linear code the transform is the dual's weight distribution, which
-    the code's own distribution hands its dual."""
-    if C.linear:
-        C.weight_distribution()
-        Bstar = C.dual().weight_distribution()
-    else:
-        Bstar = macwilliams_transform(C.distance_distribution(),
-                                      C.cardinality(),
-                                      build_table(C.k, C.m, C.field.q))
+    """Number of indices i >= 1 with a positive transformed entry."""
+    table = build_table(C.k, C.m, C.field.q)
+    Bstar = macwilliams_transform(C.distance_distribution(), C.cardinality(),
+                                  table)
     return sum(1 for i in range(1, C.k + 1) if Bstar[i] > 0)
 
 

@@ -62,7 +62,7 @@ def test_add_index_xor_matches_digitwise_add(q):
     for _ in range(500):
         a, b = rng.randrange(q ** 6), rng.randrange(q ** 6)
         total = [F.add(x, y) for x, y in zip(digits(a, q, 6), digits(b, q, 6))]
-        assert add_index(F, 6, a, b) == a ^ b == undigits(total, q)
+        assert add_index(F, a, b) == a ^ b == undigits(total, q)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 27, 1031])
@@ -81,4 +81,4 @@ def test_add_index_chunks_match_digitwise_add(q):
         for a, b in pairs:
             total = [F.add(x, y)
                      for x, y in zip(digits(a, q, n), digits(b, q, n))]
-            assert add_index(F, n, a, b) == undigits(total, q)
+            assert add_index(F, a, b) == undigits(total, q)

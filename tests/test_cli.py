@@ -164,7 +164,7 @@ def test_cosets_full_table_lists_least_index_per_coset(tmp_path, capsys, q, k, m
         for idx in range(N):  # brute force: a coset's first index
             if idx not in seen:
                 least.add(idx)
-                seen.update(add_index(F, k * m, w, idx) for w in words)
+                seen.update(add_index(F, w, idx) for w in words)
         assert main(["cosets", _write(tmp_path, "c.rmc", serialize(C))]) == 0
         lines = _out_lines(capsys)
         reps = [int(line.split()[0][len("coset_"):]) for line in lines]
