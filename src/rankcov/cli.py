@@ -16,7 +16,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import construct, cosets, covering, reference, surgery
+from . import covering
 from .ambient import index_to_mat
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .gfield import digits, field_from_order
@@ -151,12 +151,7 @@ def _cmd_info(args) -> int:
 
 
 def _report_pairs(rep: covering.BoundsReport):
-    for key in ("q", "k", "m", "cardinality", "dim", "min_distance",
-                "rho_exact", "bound_dual_distance", "bound_external",
-                "bound_initial_set", "bound_mrd", "bound_dqmrd",
-                "packing_lower", "is_mrd", "is_dually_qmrd", "maximal",
-                "maximality_degree"):
-        value = getattr(rep, key)
+    for key, value in vars(rep).items():
         if value is not None:
             yield key, str(value).lower() if isinstance(value, bool) else value
 
@@ -182,6 +177,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_cosets(args) -> int:
+    from . import cosets
     C = parse(args.file)
     N = C.field.q ** (C.k * C.m)
     if args.X is not None:
@@ -231,6 +227,7 @@ def _load_transform(args, C: RankCode) -> Mat:
 
 
 def _cmd_puncture(args) -> int:
+    from . import surgery
     C = parse(args.file)
     A = _load_transform(args, C)
     sys.stdout.write(serialize(surgery.puncture(C, A, args.u)))
@@ -238,6 +235,7 @@ def _cmd_puncture(args) -> int:
 
 
 def _cmd_shorten(args) -> int:
+    from . import surgery
     C = parse(args.file)
     A = _load_transform(args, C)
     sys.stdout.write(serialize(surgery.shorten(C, A, args.u)))
@@ -254,6 +252,7 @@ def _cmd_initial_set(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import construct
     if args.family == "gabidulin":
         C = construct.gabidulin(args.q, args.k, args.m, args.d)
     elif args.family == "qmrd":
@@ -277,6 +276,7 @@ def _cmd_gen(args) -> int:
 
 
 def _verify_checks():
+    from . import reference
     yield "example_3x3_min_distance", lambda: reference.example_3x3().min_distance() == 2
     yield "example_3x3_external_distance", \
         lambda: covering.external_distance(reference.example_3x3()) == 3

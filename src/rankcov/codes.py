@@ -8,7 +8,6 @@ makes equality a tuple comparison and doubles as the initial-set data.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import add_index, index_to_mat, mat_index, rank_of_index
@@ -192,14 +191,17 @@ class RankCode:
 
         A linear code enumerates the smaller of C and its dual (C on a
         tie), so the guard counts that side, and the other side's
-        distribution is the exact MacWilliams transform of it.  The
-        enumeration row-reduces only the (|C|-1)/(q-1) words whose last
+        distribution is the exact MacWilliams transform of it; a dual that
+        already knows its distribution is transformed, not re-enumerated.
+        The enumeration row-reduces only the (|C|-1)/(q-1) words whose last
         nonzero basis coefficient is 1, each standing for its q-1 nonzero
         multiples."""
         if self._weight_distribution is None:
-            if self.linear and 2 * len(self.basis) > self.k * self.m:
+            known = self._dual is not None \
+                and self._dual._weight_distribution is not None
+            if known or (self.linear and 2 * len(self.basis) > self.k * self.m):
                 D = self.dual()
-                if D.cardinality() > guard:
+                if not known and D.cardinality() > guard:
                     raise GuardExceeded(f"code has {self.cardinality()} "
                                         f"words, guard is {guard}")
                 W = dual_weight_distribution(
@@ -250,16 +252,24 @@ class RankCode:
             self._pair_counts = tuple(P)
         return self._pair_counts
 
-    def distance_distribution(self, guard: int = ENUM_GUARD) -> List[Fraction]:
-        """B_i = (ordered pairs at distance i) / |C|; equals W for linear codes."""
+    def distance_counts(self, guard: int = ENUM_GUARD) -> List[int]:
+        """|C| B_i: the ordered pairs of codewords at distance i, equal
+        pairs counted at i = 0; |C| W for a linear code."""
         if self.linear:
-            return [Fraction(w) for w in self.weight_distribution(guard)]
+            n = self.cardinality()
+            return [n * w for w in self.weight_distribution(guard)]
         n = len(self.words)
         if n * n > guard:
             raise GuardExceeded("too many codeword pairs")
-        B = list(self._pairs())
-        B[0] = n
-        return [Fraction(x, n) for x in B]
+        P = list(self._pairs())
+        P[0] = n
+        return P
+
+    def distance_distribution(self, guard: int = ENUM_GUARD) -> List["Fraction"]:
+        """B_i = (ordered pairs at distance i) / |C|; equals W for linear codes."""
+        from fractions import Fraction
+        n = self.cardinality()
+        return [Fraction(x, n) for x in self.distance_counts(guard)]
 
     # -- duality and sections --
 

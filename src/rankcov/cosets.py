@@ -14,9 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .ambient import add_index, mat_index, rank_of_index, rank_table
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
+from .covering import external_support
 from .matlin import Mat, Subspace
-from .qcomb import (KrawtchoukTable, build_table, gaussian_binomial,
-                    macwilliams_transform)
+from .qcomb import KrawtchoukTable, build_table, gaussian_binomial
 
 # coset_profile reads ranks from the cached q^(km)-byte rank table up to
 # this ambient size and row-reduces M + X per codeword above it
@@ -132,9 +132,7 @@ def annihilator(C: RankCode, table: Optional[KrawtchoukTable] = None) -> Annihil
     if table is None:
         table = build_table(C.k, C.m, C.field.q)
     q, k, m = C.field.q, C.k, C.m
-    Bstar = macwilliams_transform(C.distance_distribution(), C.cardinality(),
-                                  table)
-    roots = tuple(i for i in range(1, k + 1) if Bstar[i] > 0)
+    roots = external_support(C)
     sigma = len(roots)
     if sigma == 0:
         raise ValueError("the annihilator is undefined for the full space")

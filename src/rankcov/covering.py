@@ -7,12 +7,12 @@ short once it is certified to equal the best proven upper bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import SimpleNamespace
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .ambient import rank_balls
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
-from .qcomb import build_table, macwilliams_transform
+from .qcomb import build_table, krawtchouk_sums
 
 
 def covering_radius_exact(C: RankCode, *, guard: int = ENUM_GUARD,
@@ -49,20 +49,25 @@ def bound_dual_distance(C: RankCode) -> int:
     return C.k - C.dual().min_distance() + 1
 
 
+def external_support(C: RankCode) -> Tuple[int, ...]:
+    """The indices i >= 1 where the MacWilliams transform of the distance
+    distribution is positive, read off the signs of the integer sums
+    sum_j |C| B_j P_j(i), which are |C|^2 times its entries."""
+    table = build_table(C.k, C.m, C.field.q)
+    S = krawtchouk_sums(C.distance_counts(), table)
+    return tuple(i for i in range(1, C.k + 1) if S[i] > 0)
+
+
 def external_distance(C: RankCode) -> int:
     """Number of indices i >= 1 with a positive transformed entry."""
-    table = build_table(C.k, C.m, C.field.q)
-    Bstar = macwilliams_transform(C.distance_distribution(), C.cardinality(),
-                                  table)
-    return sum(1 for i in range(1, C.k + 1) if Bstar[i] > 0)
+    return len(external_support(C))
 
 
 def bound_external(C: RankCode) -> int:
     return external_distance(C)
 
 
-@dataclass(frozen=True)
-class InitialSet:
+class InitialSet(NamedTuple):
     entries: Tuple[Tuple[int, int], ...]  # 1-based (row, col), sorted
 
 
@@ -77,16 +82,18 @@ def initial_set(C: RankCode) -> InitialSet:
     return InitialSet(tuple(sorted(cells)))
 
 
-@dataclass(frozen=True)
 class LinePattern:
-    a: int
-    b: int
-    cells: FrozenSet[Tuple[int, int]]  # 1-based cells within [a] x [b]
+    """Cells of an a x b grid, 1-based, each inside [a] x [b]."""
 
-    def __post_init__(self):
-        for (i, j) in self.cells:
-            if not (1 <= i <= self.a and 1 <= j <= self.b):
-                raise ValueError(f"cell {(i, j)} outside [{self.a}] x [{self.b}]")
+    __slots__ = ("a", "b", "cells")
+
+    def __init__(self, a: int, b: int, cells: FrozenSet[Tuple[int, int]]):
+        for (i, j) in cells:
+            if not (1 <= i <= a and 1 <= j <= b):
+                raise ValueError(f"cell {(i, j)} outside [{a}] x [{b}]")
+        self.a = a
+        self.b = b
+        self.cells = cells
 
 
 def min_line_cover(S: LinePattern) -> int:
@@ -155,25 +162,19 @@ def maximality_degree(C: RankCode, rho: Optional[int] = None) -> int:
     return d - min(rho, d)
 
 
-@dataclass
-class BoundsReport:
-    q: int
-    k: int
-    m: int
-    cardinality: int
-    dim: Optional[int] = None
-    min_distance: Optional[int] = None
-    rho_exact: Optional[int] = None
-    bound_dual_distance: Optional[int] = None
-    bound_external: Optional[int] = None
-    bound_initial_set: Optional[int] = None
-    bound_mrd: Optional[int] = None
-    bound_dqmrd: Optional[int] = None
-    packing_lower: Optional[int] = None
-    is_mrd: Optional[bool] = None
-    is_dually_qmrd: Optional[bool] = None
-    maximal: Optional[bool] = None
-    maximality_degree: Optional[int] = None
+class BoundsReport(SimpleNamespace):
+    """q, k, m, cardinality and dim, then every other field None until it
+    is known; ``vars()`` lists them in this order."""
+
+    def __init__(self, q: int, k: int, m: int, cardinality: int,
+                 dim: Optional[int] = None):
+        super().__init__(q=q, k=k, m=m, cardinality=cardinality, dim=dim,
+                         **dict.fromkeys((
+                             "min_distance", "rho_exact",
+                             "bound_dual_distance", "bound_external",
+                             "bound_initial_set", "bound_mrd", "bound_dqmrd",
+                             "packing_lower", "is_mrd", "is_dually_qmrd",
+                             "maximal", "maximality_degree")))
 
     def upper_bounds(self) -> List[int]:
         return [b for b in (self.bound_dual_distance, self.bound_external,
@@ -186,7 +187,7 @@ def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
     """Every applicable bound plus, when within the guard, exact rho.
 
     When the packing lower bound meets the least upper bound, that value
-    is rho and the ball search is skipped.
+    is rho, with no ball search and so whatever the guard.
     """
     rep = BoundsReport(q=C.field.q, k=C.k, m=C.m,
                        cardinality=C.cardinality(),
@@ -211,15 +212,14 @@ def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
         if rep.is_dually_qmrd:
             rep.bound_dqmrd = rep.min_distance
     N = C.field.q ** (C.k * C.m)
+    ub = min(rep.upper_bounds(), default=None)
     if full:
         rep.rho_exact = 0
+    elif ub is not None and ub == rep.packing_lower:
+        rep.rho_exact = ub  # lower = upper: the bounds decide rho
     elif N <= guard or force:
-        ub = min(rep.upper_bounds(), default=None)
-        if ub is not None and ub == rep.packing_lower:
-            rep.rho_exact = ub  # lower = upper: the bounds decide rho
-        else:
-            rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
-                                                  upper_bound=ub)
+        rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
+                                              upper_bound=ub)
     if rep.rho_exact is not None:
         rep.maximal = is_maximal(C, rep.rho_exact)
         if C.cardinality() >= 2:

@@ -1,12 +1,13 @@
 """Exact q-combinatorics: Gaussian binomials, subspace-lattice Moebius
 values, q-Krawtchouk eigenvalues and the associated distribution transform.
 
-Everything here is exact: Python integers and fractions.Fraction only.
+Everything here is exact.  The Krawtchouk sums behind the MacWilliams
+transform are integer sums; only the public transform returns
+fractions.Fraction, imported on its first call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Sequence
 
@@ -82,31 +83,44 @@ def build_table(k: int, m: int, q: int) -> KrawtchoukTable:
     return KrawtchoukTable(k, m, q)
 
 
+def krawtchouk_sums(c: Sequence, table: KrawtchoukTable) -> List:
+    """The vector c P: entry i is sum_j c_j P_j(i), exact in the type of
+    the c_j (integers for counts).  For c = |C| B, with B the distance
+    distribution of C, it is |C|^2 times the MacWilliams transform."""
+    if len(c) != table.k + 1:
+        raise ValueError(f"distribution length {len(c)} != k+1 = {table.k + 1}")
+    P = table.P
+    return [sum(c[j] * P[j][i] for j in range(table.k + 1))
+            for i in range(table.k + 1)]
+
+
 def macwilliams_transform(B: Sequence, codesize: int,
-                          table: KrawtchoukTable) -> List[Fraction]:
+                          table: KrawtchoukTable) -> List["Fraction"]:
     """Exact transform |C|^{-1} B P of a distance distribution.
 
     For a linear code this equals the weight distribution of the dual.
     """
-    if len(B) != table.k + 1:
-        raise ValueError(f"distribution length {len(B)} != k+1 = {table.k + 1}")
+    from fractions import Fraction
+    sums = krawtchouk_sums(B, table)
     if codesize < 1:
         raise ValueError("code size must be >= 1")
-    out = []
-    for i in range(table.k + 1):
-        acc = sum(Fraction(B[j]) * table.P[j][i] for j in range(table.k + 1))
-        out.append(acc / codesize)
-    return out
+    return [Fraction(s) / codesize for s in sums]
 
 
 def dual_weight_distribution(W: Sequence[int], codesize: int,
                              table: KrawtchoukTable) -> List[int]:
     """The weight distribution of the dual of a linear code with weight
     distribution W: the exact MacWilliams transform, which must be
-    integral.  A fractional entry raises ArithmeticError, since no code
-    has that distribution; nothing is rounded."""
-    out = macwilliams_transform(W, codesize, table)
-    if any(x.denominator != 1 for x in out):
-        raise ArithmeticError(f"MacWilliams transform of {list(W)} over "
-                              f"{codesize} words is not integral")
-    return [x.numerator for x in out]
+    integral.  A remainder raises ArithmeticError, since no code has a
+    fractional distribution; nothing is rounded."""
+    sums = krawtchouk_sums(W, table)
+    if codesize < 1:
+        raise ValueError("code size must be >= 1")
+    out = []
+    for s in sums:
+        w, r = divmod(s, codesize)
+        if r:
+            raise ArithmeticError(f"MacWilliams transform of {list(W)} over "
+                                  f"{codesize} words is not integral")
+        out.append(w)
+    return out

@@ -284,7 +284,8 @@ def test_bounds_on_zero_code_beyond_guard(tmp_path, capsys):
 
 def test_bounds_on_high_rate_code_beyond_guard(tmp_path, capsys):
     # 4^24 words, but the guard counts the enumerated side, the 4-word
-    # dual; the scan over 4^25 matrices is still refused
+    # dual; the search over 4^25 matrices is still refused, so rho is
+    # reported only where the bounds decide it (packing_lower is 1)
     F = make_field(2, 2)
     C = random_linear_code(F, 5, 5, 24, random.Random(24))
     path = _write(tmp_path, "high.rmc", serialize(C))
@@ -293,7 +294,7 @@ def test_bounds_on_high_rate_code_beyond_guard(tmp_path, capsys):
     (B,) = parse(path).dual().basis
     assert kv["min_distance"] == "1"
     assert kv["bound_dual_distance"] == str(5 - rank(B) + 1)
-    assert "rho_exact" not in kv
+    assert (kv.get("rho_exact") == "1") == (kv["bound_dual_distance"] == "1")
 
 
 def test_verify_paper_all_pass(capsys):

@@ -247,6 +247,27 @@ def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
             assert len(calls) == (small - 1) // (q - 1)  # projective words
 
 
+def test_a_dual_that_knows_its_distribution_is_not_re_enumerated(monkeypatch):
+    calls = []
+
+    def counting(field, k, m):
+        inner = rank_of_index(field, k, m)
+        return lambda idx: calls.append(idx) or inner(idx)
+
+    monkeypatch.setattr(codes, "rank_of_index", counting)
+    C = random_linear_code(field_from_order(2), 3, 4, 4, random.Random(4))
+    W, WD = enumerated_weights(C), enumerated_weights(fresh(C).dual())
+    for dual_first in (False, True):
+        A = fresh(C)
+        D = A.dual()
+        counts = []
+        for X in ((D, A) if dual_first else (A, D)):
+            calls.clear()
+            assert X.weight_distribution() == (W if X is A else WD)
+            counts.append(len(calls))
+        assert counts == [15, 0]  # the 15 projective words of the 16-word C
+
+
 def test_guard_counts_the_enumerated_side():
     F = field_from_order(2)
     C = random_linear_code(F, 3, 4, 10, random.Random(5))  # dual: 4 words

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.gfield import make_field
+from rankcov.codes import RankCode
+from rankcov.cosets import annihilator
+from rankcov.covering import external_distance
+from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat, enumerate_subspaces, rank
-from rankcov.qcomb import (build_table, gaussian_binomial, krawtchouk,
+from rankcov.qcomb import (build_table, dual_weight_distribution,
+                           gaussian_binomial, krawtchouk, krawtchouk_sums,
                            macwilliams_transform, rank_sphere_size,
                            subspace_moebius)
 from rankcov.construct import random_code, random_linear_code
@@ -128,3 +132,76 @@ def test_transform_length_check():
     T = build_table(2, 2, 2)
     with pytest.raises(ValueError):
         macwilliams_transform([1, 0], 4, T)
+
+
+# -- the integer Krawtchouk sums against the Fraction formula --
+
+def fraction_transform(B, codesize, table):
+    """The transform as Fractions, entry by entry: |C|^{-1} sum_j B_j P_j(i)."""
+    k = table.k
+    return [sum(Fraction(B[j]) * table.P[j][i] for j in range(k + 1))
+            / codesize for i in range(k + 1)]
+
+
+def transform_codes(q):
+    """The zero code, the full space, seeded linear codes of every other
+    dimension and seeded explicit codes, on shapes with k = 1 and k = m."""
+    F = field_from_order(q)
+    rng = random.Random(500 + q)
+    shapes = [(1, 2), (2, 2)] + ([(2, 3)] if q <= 5 else [])
+    for k, m in shapes:
+        yield RankCode.zero_code(F, k, m)
+        yield RankCode.full_space(F, k, m)
+        for dim in range(1, k * m):
+            if q ** min(dim, k * m - dim) <= 1 << 10:
+                yield random_linear_code(F, k, m, dim, rng)
+        for size in (1, 2, 5, 9):
+            if size <= q ** (k * m):
+                yield random_code(F, k, m, size, rng)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 8, 9))
+def test_integer_transform_matches_fraction_formula(q):
+    for C in transform_codes(q):
+        T = build_table(C.k, C.m, q)
+        n = C.cardinality()
+        B = C.distance_distribution()
+        oracle = fraction_transform(B, n, T)
+        got = macwilliams_transform(B, n, T)
+        assert got == oracle
+        assert all(type(x) is Fraction for x in got)
+        assert C.distance_counts() == [x * n for x in B]
+        assert krawtchouk_sums(C.distance_counts(), T) \
+            == [x * n * n for x in oracle]
+        roots = tuple(i for i in range(1, C.k + 1) if oracle[i] > 0)
+        assert external_distance(C) == len(roots)
+        if roots:
+            assert annihilator(C, T).roots == roots
+        else:
+            with pytest.raises(ValueError, match="full space"):
+                annihilator(C, T)
+        if C.linear:
+            W = C.weight_distribution()
+            dual = fraction_transform(W, n, T)
+            assert all(x.denominator == 1 for x in dual)
+            assert dual_weight_distribution(W, n, T) \
+                == [x.numerator for x in dual]
+
+
+def test_dual_weight_distribution_raises_where_the_formula_is_fractional():
+    rng = random.Random(8)
+    raised = 0
+    for _ in range(400):
+        k, m, q = rng.choice(((1, 2, 2), (2, 2, 2), (2, 3, 3), (2, 2, 4)))
+        T = build_table(k, m, q)
+        W = [rng.randrange(-3, 30) for _ in range(k + 1)]
+        n = rng.choice((1, 2, 3, 4, 9, 16))
+        oracle = fraction_transform(W, n, T)
+        if all(x.denominator == 1 for x in oracle):
+            assert dual_weight_distribution(W, n, T) \
+                == [x.numerator for x in oracle]
+        else:
+            raised += 1
+            with pytest.raises(ArithmeticError, match="not integral"):
+                dual_weight_distribution(W, n, T)
+    assert 100 < raised < 400
