@@ -197,8 +197,8 @@ class RankCode:
         nonzero basis coefficient is 1, each standing for its q-1 nonzero
         multiples."""
         if self._weight_distribution is None:
-            known = self._dual is not None \
-                and self._dual._weight_distribution is not None
+            known = (self._dual is not None
+                     and self._dual._weight_distribution is not None)
             if known or (self.linear and 2 * len(self.basis) > self.k * self.m):
                 D = self.dual()
                 if not known and D.cardinality() > guard:
