@@ -110,3 +110,11 @@ def test_from_import_and_unknown_names():
         rankcov.no_such_name
     with pytest.raises(ImportError):
         from rankcov import no_such_name  # noqa: F401
+
+
+def test_readme_library_tour_runs():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    assert scope["rep"].rho_exact == scope["covering_radius_exact"](scope["C"])
