@@ -31,47 +31,6 @@ def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
     return Mat(field, k, m, digits(idx, field.q, k * m))
 
 
-# entries of the digit-sum table of :func:`_chunk_sums`
-_CHUNK_CAP = 1 << 13
-
-
-@lru_cache(maxsize=32)
-def _chunk_sums(p: int) -> tuple:
-    """(P, table) for odd p: P = p^c for the largest c >= 1 with P^2
-    within the cap, and table[x * P + y] the digit-wise mod-p sum of
-    x, y < P, built on first use.  The table is None when p^2 alone
-    exceeds the cap."""
-    c = 1
-    while p ** (2 * c + 2) <= _CHUNK_CAP:
-        c += 1
-    P = p ** c
-    if P * P > _CHUNK_CAP:
-        return P, None
-    return P, [undigits([(s + t) % p for s, t in zip(digits(x, p, c),
-                                                      digits(y, p, c))], p)
-               for x in range(P) for y in range(P)]
-
-
-def add_index(field: FieldSpec, a: int, b: int) -> int:
-    """Index of the entrywise sum of the matrices indexed a and b, which
-    is the digit-wise mod-p sum of the indices as base-p numbers: XOR
-    for p = 2, else c base-p digits at a time through a table."""
-    if field.p == 2:
-        return a ^ b
-    P, table = _chunk_sums(field.p)
-    out = 0
-    mult = 1
-    while a or b:
-        if table is None:
-            out += (a % P + b % P) % P * mult
-        else:
-            out += table[a % P * P + b % P] * mult
-        a //= P
-        b //= P
-        mult *= P
-    return out
-
-
 def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
     """The rank of a k x m matrix as a function of its index.
 

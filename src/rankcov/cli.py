@@ -226,19 +226,13 @@ def _load_transform(args, C: RankCode) -> Mat:
     return A
 
 
-def _cmd_puncture(args) -> int:
+def _cmd_surgery(args) -> int:
+    """`puncture` or `shorten`: the surgery function of that name."""
     from . import surgery
     C = parse(args.file)
     A = _load_transform(args, C)
-    sys.stdout.write(serialize(surgery.puncture(C, A, args.u)))
-    return 0
-
-
-def _cmd_shorten(args) -> int:
-    from . import surgery
-    C = parse(args.file)
-    A = _load_transform(args, C)
-    sys.stdout.write(serialize(surgery.shorten(C, A, args.u)))
+    op = getattr(surgery, args.command)
+    sys.stdout.write(serialize(op(C, A, args.u)))
     return 0
 
 
@@ -343,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ambient matrix index; omit for the full table")
     sp.set_defaults(fn=_cmd_cosets)
 
-    for name, fn in (("puncture", _cmd_puncture), ("shorten", _cmd_shorten)):
+    for name in ("puncture", "shorten"):
         sp = sub.add_parser(name, parents=[common])
         sp.add_argument("file")
         sp.add_argument("--A", default=None,
                         help="rmc file holding the k x k transform; "
                              "omit to derive one from --seed")
         sp.add_argument("--u", type=int, required=True)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=_cmd_surgery)
 
     sp = sub.add_parser("gen")
     gen_sub = sp.add_subparsers(dest="family", required=True)
@@ -385,18 +379,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, ValueError) as exc:
+        # a ValueError is input the library rejects, e.g. a set code
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
     except GuardExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:  # input the library rejects, e.g. a set code
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

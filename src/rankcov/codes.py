@@ -1,8 +1,10 @@
 """Rank-metric codes in F_q^{k x m}.
 
-A RankCode is either linear (canonical basis: the RREF of the vectorized
-generators) or an explicit sorted set of codewords.  The canonical form
-makes equality a tuple comparison and doubles as the initial-set data.
+A RankCode is either linear (its span: the RREF Subspace of F_q^(km)
+spanned by the vectorized generators) or an explicit sorted set of
+codewords.  The echelon form makes equality a tuple comparison, gives
+membership and the initial set through its pivots, and its orthogonal
+complement is the dual.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .ambient import add_index, index_to_mat, mat_index, rank_of_index
-from .gfield import FieldSpec
-from .matlin import Mat, Subspace, _rref_rows, devectorize, kernel
+from .ambient import index_to_mat, mat_index, rank_of_index
+from .gfield import FieldSpec, add_index
+from .matlin import Mat, Subspace, kernel
 from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
@@ -45,20 +47,22 @@ def solve_span(gens: Sequence[Mat], images: Sequence[Sequence[int]]) -> List[Mat
 class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
-    __slots__ = ("field", "k", "m", "linear", "basis", "words",
+    __slots__ = ("field", "k", "m", "linear", "span", "basis", "words",
                  "_min_distance", "_weight_distribution", "_pair_counts",
                  "_dual")
 
     def __init__(self, field: FieldSpec, k: int, m: int, *,
-                 basis: Optional[Tuple[Mat, ...]] = None,
+                 span: Optional[Subspace] = None,
                  words: Optional[Tuple[Mat, ...]] = None):
         if k > m:
             raise ValueError("the standing assumption k <= m is violated")
         self.field = field
         self.k = k
         self.m = m
-        self.linear = basis is not None
-        self.basis = basis
+        self.linear = span is not None
+        self.span = span
+        self.basis = (None if span is None
+                      else tuple(Mat(field, k, m, r) for r in span.basis))
         self.words = words
         self._min_distance = None
         self._weight_distribution = None
@@ -74,9 +78,8 @@ class RankCode:
         for M in mats:
             if M.field != field or (M.k, M.m) != (k, m):
                 raise ValueError("generator dimension/field mismatch")
-        rows, _ = _rref_rows(field, [list(M.entries) for M in mats])
-        basis = tuple(devectorize(field, r, k, m) for r in rows)
-        return cls(field, k, m, basis=basis)
+        return cls(field, k, m,
+                   span=Subspace(field, k * m, [M.entries for M in mats]))
 
     @classmethod
     def from_codewords(cls, field: FieldSpec, k: int, m: int,
@@ -95,16 +98,11 @@ class RankCode:
 
     @classmethod
     def zero_code(cls, field: FieldSpec, k: int, m: int) -> "RankCode":
-        return cls.from_generators(field, k, m, [])
+        return cls(field, k, m, span=Subspace.zero(field, k * m))
 
     @classmethod
     def full_space(cls, field: FieldSpec, k: int, m: int) -> "RankCode":
-        gens = []
-        for t in range(k * m):
-            v = [0] * (k * m)
-            v[t] = 1
-            gens.append(devectorize(field, v, k, m))
-        return cls.from_generators(field, k, m, gens)
+        return cls(field, k, m, span=Subspace.full(field, k * m))
 
     # -- basic parameters --
 
@@ -153,11 +151,7 @@ class RankCode:
         if X.field != self.field or (X.k, X.m) != (self.k, self.m):
             return False
         if self.linear:
-            from .matlin import _reduce_against
-            pivots = [next(j for j, x in enumerate(B.entries) if x)
-                      for B in self.basis]
-            return _reduce_against(self.field, list(X.entries),
-                                   [B.entries for B in self.basis], pivots)
+            return self.span.contains(X.entries)
         lo, hi = 0, len(self.words)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -189,28 +183,30 @@ class RankCode:
     def weight_distribution(self, guard: int = ENUM_GUARD) -> List[int]:
         """W_i = number of codewords of rank i.
 
-        A linear code enumerates the smaller of C and its dual (C on a
-        tie), so the guard counts that side, and the other side's
-        distribution is the exact MacWilliams transform of it; a dual that
-        already knows its distribution is transformed, not re-enumerated.
-        The enumeration row-reduces only the (|C|-1)/(q-1) words whose last
+        A linear code fills in both itself and its dual.  Unless one side
+        already knows its distribution, it enumerates the smaller of C and
+        its dual (C on a tie), so the guard counts that side; the other
+        side's distribution is the exact MacWilliams transform of it.  The
+        enumeration row-reduces only the (|C|-1)/(q-1) words whose last
         nonzero basis coefficient is 1, each standing for its q-1 nonzero
         multiples."""
-        if self._weight_distribution is None:
-            known = (self._dual is not None
-                     and self._dual._weight_distribution is not None)
-            if known or (self.linear and 2 * len(self.basis) > self.k * self.m):
-                D = self.dual()
-                if not known and D.cardinality() > guard:
-                    raise GuardExceeded(f"code has {self.cardinality()} "
-                                        f"words, guard is {guard}")
-                W = dual_weight_distribution(
-                    D.weight_distribution(guard), D.cardinality(),
-                    build_table(self.k, self.m, self.field.q))
-            else:
-                W = self._enumerated_weights(guard)
-            self._weight_distribution = tuple(W)
-            self._seed_dual()
+        if self._weight_distribution is not None:
+            return list(self._weight_distribution)
+        if not self.linear:
+            self._weight_distribution = tuple(self._enumerated_weights(guard))
+            return list(self._weight_distribution)
+        D = self.dual()
+        if D._weight_distribution is None:
+            small = D if D.cardinality() < self.cardinality() else self
+            if small.cardinality() > guard:
+                raise GuardExceeded(f"code has {self.cardinality()} words, "
+                                    f"guard is {guard}")
+            small._weight_distribution = tuple(small._enumerated_weights(guard))
+        known, other = ((self, D) if self._weight_distribution is not None
+                        else (D, self))
+        other._weight_distribution = tuple(dual_weight_distribution(
+            known._weight_distribution, known.cardinality(),
+            build_table(self.k, self.m, self.field.q)))
         return list(self._weight_distribution)
 
     def _enumerated_weights(self, guard: int) -> List[int]:
@@ -227,15 +223,6 @@ class RankCode:
             for w in words:
                 W[rank(w)] += 1
         return W
-
-    def _seed_dual(self) -> None:
-        """Hand a built dual the transform of a known distribution.  The
-        dual keeps no link back, so a code and its dual form no cycle."""
-        D, W = self._dual, self._weight_distribution
-        if D is not None and W is not None and D._weight_distribution is None:
-            D._weight_distribution = tuple(dual_weight_distribution(
-                W, self.cardinality(),
-                build_table(self.k, self.m, self.field.q)))
 
     def _pairs(self) -> Tuple[int, ...]:
         """Ordered pairs of distinct words of a set at each distance,
@@ -274,20 +261,13 @@ class RankCode:
     # -- duality and sections --
 
     def dual(self) -> "RankCode":
-        """Trace-dual; the right null space of the vectorized basis."""
+        """Trace-dual: the orthogonal complement of the span.  The dual
+        keeps no link back, so a code and its dual form no cycle."""
         if not self.linear:
             raise ValueError("the dual is defined for linear codes only")
         if self._dual is None:
-            if not self.basis:
-                self._dual = RankCode.full_space(self.field, self.k, self.m)
-            else:
-                gen = Mat(self.field, len(self.basis), self.k * self.m,
-                          [x for B in self.basis for x in B.entries])
-                mats = [devectorize(self.field, v, self.k, self.m)
-                        for v in kernel(gen).basis]
-                self._dual = RankCode.from_generators(self.field, self.k,
-                                                      self.m, mats)
-            self._seed_dual()
+            self._dual = RankCode(self.field, self.k, self.m,
+                                  span=self.span.orthogonal())
         return self._dual
 
     def restrict(self, U: Subspace) -> "RankCode":
@@ -335,8 +315,7 @@ class RankCode:
 
     def _key(self):
         if self.linear:
-            return (self.field, self.k, self.m, "lin",
-                    tuple(B.entries for B in self.basis))
+            return (self.field, self.k, self.m, "lin", self.span.basis)
         return (self.field, self.k, self.m, "set",
                 tuple(M.entries for M in self.words))
 

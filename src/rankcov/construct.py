@@ -15,8 +15,8 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .gfield import (FieldSpec, _SquareAndMultiply, _mul_codes, digits,
-                     field_from_order, least_modulus, undigits)
+from .gfield import (FieldSpec, _SquareAndMultiply, _mul_codes, add_index,
+                     digits, field_from_order, least_modulus, undigits)
 from .matlin import Mat, _rref_rows, devectorize
 from .codes import RankCode
 
@@ -50,9 +50,7 @@ class ExtensionField(_SquareAndMultiply):
         return self.base.q ** j
 
     def add(self, a: int, b: int) -> int:
-        F = self.base
-        return self.compress(F.add(x, y)
-                             for x, y in zip(self.expand(a), self.expand(b)))
+        return add_index(self.base, a, b)
 
     def mul(self, a: int, b: int) -> int:
         return _mul_codes(self.base, self.modulus, a, b)

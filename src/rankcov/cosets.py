@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ambient import add_index, mat_index, rank_of_index, rank_table
+from .ambient import mat_index, rank_of_index, rank_table
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .covering import external_support
+from .gfield import add_index
 from .matlin import Mat, Subspace
 from .qcomb import KrawtchoukTable, build_table, gaussian_binomial
 
@@ -74,25 +75,27 @@ def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,
         raise ValueError(f"prefix must have length {k - d_perp + 1}")
     if any(w < 0 for w in prefix):
         raise ValueError("negative prefix entry")
-    T: List[Fraction] = []
+    # T_u scaled by Q = q^(mk), so every sum below is an integer
+    Q = q ** (m * k)
+    T: List[int] = []
     for u in range(k + 1):
         if u <= k - d_perp:
-            T.append(Fraction(sum(prefix[j] * gaussian_binomial(k - j, u - j, q)
-                                  for j in range(u + 1))))
+            T.append(Q * sum(prefix[j] * gaussian_binomial(k - j, u - j, q)
+                             for j in range(u + 1)))
         else:
-            T.append(gaussian_binomial(k, u, q)
-                     * Fraction(codesize, q ** (m * (k - u))))
+            T.append(gaussian_binomial(k, u, q) * codesize * q ** (m * u))
     out: List[int] = list(prefix)
     for i in range(k - d_perp + 1, k + 1):
-        acc = Fraction(0)
+        acc = 0
         for u in range(i + 1):
             d = i - u
             sign = -1 if d % 2 else 1
             acc += (sign * q ** (d * (d - 1) // 2)
                     * gaussian_binomial(k - u, i - u, q) * T[u])
-        if acc.denominator != 1:
+        w, r = divmod(acc, Q)
+        if r:
             raise ArithmeticError("completion produced a non-integer weight")
-        out.append(int(acc))
+        out.append(w)
     return out
 
 

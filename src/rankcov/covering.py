@@ -75,11 +75,9 @@ def initial_set(C: RankCode) -> InitialSet:
     """First nonzero positions of the canonical basis, 1-based."""
     if not C.linear or C.dim == 0:
         raise ValueError("the initial set needs a nonzero linear code")
-    cells = []
-    for B in C.basis:
-        t = next(t for t, x in enumerate(B.entries) if x)
-        cells.append((t // C.m + 1, t % C.m + 1))
-    return InitialSet(tuple(sorted(cells)))
+    # the pivots increase, so the cells come out sorted
+    return InitialSet(tuple((t // C.m + 1, t % C.m + 1)
+                            for t in C.span.pivots))
 
 
 class LinePattern:

@@ -55,6 +55,49 @@ def undigits(values, base: int) -> int:
     return code
 
 
+# entries of the digit-sum table of :func:`_chunk_sums`
+_CHUNK_CAP = 1 << 13
+
+
+@lru_cache(maxsize=32)
+def _chunk_sums(p: int) -> tuple:
+    """(P, table) for odd p: P = p^c for the largest c >= 1 with P^2
+    within the cap, and table[x * P + y] the digit-wise mod-p sum of
+    x, y < P, built on first use.  The table is None when p^2 alone
+    exceeds the cap."""
+    c = 1
+    while p ** (2 * c + 2) <= _CHUNK_CAP:
+        c += 1
+    P = p ** c
+    if P * P > _CHUNK_CAP:
+        return P, None
+    return P, [undigits([(s + t) % p for s, t in zip(digits(x, p, c),
+                                                      digits(y, p, c))], p)
+               for x in range(P) for y in range(P)]
+
+
+def add_index(field: FieldSpec, a: int, b: int) -> int:
+    """The digit-wise mod-p sum of a and b as base-p numbers, with p the
+    characteristic of field: the code of a sum of elements of GF(p^e) or
+    of an extension over it, and the index of the entrywise sum of the
+    matrices indexed a and b.  XOR for p = 2, else c base-p digits at a
+    time through a table."""
+    if field.p == 2:
+        return a ^ b
+    P, table = _chunk_sums(field.p)
+    out = 0
+    mult = 1
+    while a or b:
+        if table is None:
+            out += (a % P + b % P) % P * mult
+        else:
+            out += table[a % P * P + b % P] * mult
+        a //= P
+        b //= P
+        mult *= P
+    return out
+
+
 # Polynomials over a coefficient field F (anything with q/add/sub/mul/inv)
 # are tuples of element codes, constant term first.
 
@@ -199,36 +242,21 @@ class FieldSpec(_SquareAndMultiply):
             return (a + b) % self.p
         if self.p == 2:  # element codes are GF(2) coordinate vectors
             return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return add_index(self, a, b)
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
         if self.p == 2:
             return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((-a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return add_index(self, a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:

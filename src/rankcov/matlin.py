@@ -119,9 +119,6 @@ class Mat:
     def __hash__(self):
         return hash((self.field, self.k, self.m, self.entries))
 
-    def __lt__(self, other: "Mat") -> bool:
-        return self.entries < other.entries
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.k))
         return f"Mat({self.field}, [{body}])"
@@ -160,11 +157,18 @@ class Subspace:
         return all(self.contains(r) for r in other.basis)
 
     def orthogonal(self) -> "Subspace":
-        """Orthogonal complement under the standard dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.ambient)
-        M = Mat.from_rows(self.field, self.basis)
-        return kernel(M)
+        """Orthogonal complement under the standard dot product, read off
+        the RREF: free column f gives e_f minus the rows' entries at f."""
+        F = self.field
+        out = []
+        for f in range(self.ambient):
+            if f not in self.pivots:
+                v = [0] * self.ambient
+                v[f] = 1
+                for row, p in zip(self.basis, self.pivots):
+                    v[p] = F.neg(row[f])
+                out.append(v)
+        return Subspace(F, self.ambient, out)
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         """All q^dim vectors of the subspace."""
@@ -287,17 +291,7 @@ def _rank_gf2(rows: List[int]) -> int:
 
 def kernel(M: Mat) -> Subspace:
     """Right null space of M, as a subspace of F_q^m."""
-    F = M.field
-    rows, pivots = _rref_rows(F, [list(r) for r in M.rows()])
-    free = [j for j in range(M.m) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * M.m
-        v[f] = 1
-        for row, p in zip(rows, pivots):
-            v[p] = F.neg(row[f])
-        basis.append(v)
-    return Subspace(F, M.m, basis)
+    return Subspace(M.field, M.m, M.rows()).orthogonal()
 
 
 def column_space(M: Mat) -> Subspace:

@@ -74,9 +74,6 @@ class KrawtchoukTable:
         self.P = [[krawtchouk(i, j, k, m, q) for i in range(k + 1)]
                   for j in range(k + 1)]
 
-    def value(self, i: int, j: int) -> int:
-        return self.P[j][i]
-
 
 @lru_cache(maxsize=None)
 def build_table(k: int, m: int, q: int) -> KrawtchoukTable:

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from rankcov.ambient import (add_index, index_to_mat, mat_index, rank_balls,
-                             rank_table)
-from rankcov.gfield import digits, field_from_order, undigits
+from rankcov.ambient import index_to_mat, mat_index, rank_balls, rank_table
+from rankcov.gfield import add_index, digits, field_from_order, undigits
 from rankcov.matlin import rank
 
 # every shape k <= m with q^(km) <= 2^12, k = 1 and k = m included

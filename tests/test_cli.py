@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from rankcov.ambient import add_index, index_to_mat
+from rankcov.ambient import index_to_mat
 from rankcov.cli import main, parse, serialize
 from rankcov.codes import RankCode
 from rankcov.construct import random_linear_code
 from rankcov.cosets import coset_profile
-from rankcov.gfield import field_from_order, make_field
+from rankcov.gfield import add_index, field_from_order, make_field
 from rankcov.matlin import Mat, rank
 from rankcov.reference import example_3x3
 

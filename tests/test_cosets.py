@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.gfield import make_field
+from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat, enumerate_subspaces, random_matrix, rank
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_linear_code
@@ -114,6 +114,55 @@ def test_moebius_complete_recovers_full_distribution():
                                W[: 3 - d_perp + 1])
         assert tuple(got) == W
         checked += 1
+
+
+def _moebius_complete_in_fractions(q, k, m, codesize, d_perp, prefix):
+    """The completion term by term in Fractions, T_u unscaled; None when a
+    tail entry is not an integer."""
+    T = []
+    for u in range(k + 1):
+        if u <= k - d_perp:
+            T.append(Fraction(sum(prefix[j] * gaussian_binomial(k - j, u - j, q)
+                                  for j in range(u + 1))))
+        else:
+            T.append(gaussian_binomial(k, u, q)
+                     * Fraction(codesize, q ** (m * (k - u))))
+    out = list(prefix)
+    for i in range(k - d_perp + 1, k + 1):
+        acc = sum((-1) ** (i - u) * q ** ((i - u) * (i - u - 1) // 2)
+                  * gaussian_binomial(k - u, i - u, q) * T[u]
+                  for u in range(i + 1))
+        if acc.denominator != 1:
+            return None
+        out.append(int(acc))
+    return out
+
+
+@pytest.mark.parametrize("q,k,m", [(2, 2, 3), (2, 3, 3), (3, 2, 2),
+                                   (3, 2, 3), (4, 2, 2)])
+def test_moebius_complete_matches_fraction_formula(q, k, m):
+    F = field_from_order(q)
+    rng = random.Random(100 * q + 10 * k + m)
+    for _ in range(12):
+        C = random_linear_code(F, k, m, rng.randrange(1, k * m), rng)
+        d_perp = C.dual().min_distance()
+        W = coset_profile(C, random_matrix(F, k, m, rng)).W
+        prefix = list(W[: k - d_perp + 1])
+        got = moebius_complete(q, k, m, C.cardinality(), d_perp, prefix)
+        assert tuple(got) == W
+        assert got == _moebius_complete_in_fractions(
+            q, k, m, C.cardinality(), d_perp, prefix)
+        prefix[-1] += 1  # integral still, but no translate's
+        assert moebius_complete(q, k, m, C.cardinality(), d_perp, prefix) \
+            == _moebius_complete_in_fractions(q, k, m, C.cardinality(),
+                                              d_perp, prefix)
+
+
+def test_moebius_complete_rejects_a_fractional_tail():
+    # |C| = 3 is no power of 2: T_1 = 9/4 leaves a remainder in W_1
+    assert _moebius_complete_in_fractions(2, 2, 2, 3, 2, [1]) is None
+    with pytest.raises(ArithmeticError, match="non-integer weight"):
+        moebius_complete(2, 2, 2, 3, 2, [1])
 
 
 def test_moebius_complete_input_validation():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rankcov.gfield import FieldSpec, digits, field_from_order, make_field
@@ -71,6 +73,29 @@ def test_characteristic_2_add_matches_digitwise_definition(e):
                                       for t, (x, y) in enumerate(zip(da, db)))
             assert F.sub(a, b) == sum(((x - y) % 2) << t
                                       for t, (x, y) in enumerate(zip(da, db)))
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (3, 7)])
+def test_odd_characteristic_add_matches_digitwise_definition(p, e):
+    # GF(2187) = GF(3^7) has no tables: every pair of low 4-digit chunks
+    # (each entry of the chunk-sum table) plus random full-width pairs
+    F = make_field(p, e)
+    q = F.q
+    if q * q <= 1 << 10:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(a, b) for a in range(p ** 4) for b in range(p ** 4)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+
+    def digitwise(op, a, b):
+        return sum(op(x, y) % p * p ** t for t, (x, y)
+                   in enumerate(zip(digits(a, p, e), digits(b, p, e))))
+
+    for a, b in pairs:
+        assert F.add(a, b) == digitwise(lambda x, y: x + y, a, b)
+        assert F.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
+        assert F.neg(b) == digitwise(lambda x, y: -y, a, b)
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (5, 2)])
