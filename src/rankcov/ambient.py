@@ -17,7 +17,7 @@ rank off the balls around {0}.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from .gfield import FieldSpec, digits, undigits
 from .matlin import Mat, _rank_gf2, _rank_rows
@@ -28,7 +28,7 @@ def mat_index(M: Mat) -> int:
 
 
 def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
-    return Mat(field, k, m, digits(idx, field.q, k * m))
+    return Mat._of(field, k, m, digits(idx, field.q, k * m))
 
 
 def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
@@ -47,6 +47,175 @@ def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
         d = digits(idx, field.q, n)
         return _rank_rows(field, [d[s:s + m] for s in range(0, n, m)])
     return rank
+
+
+# -- bit-sliced ranks in characteristic 2 --
+#
+# Lane w of a pass is one matrix; plane b is the int whose bit w is bit b
+# of lane w's index.  The lane builders below yield (planes, lanes)
+# chunks of at most 2^LANE_BITS lanes (or one row of a pair pass), so a
+# pass holds a bounded number of planes whatever the code's size.
+
+LANE_BITS = 16
+
+
+@lru_cache(maxsize=LANE_BITS + 1)
+def _lane_patterns(n: int) -> tuple:
+    """P_0..P_(n-1) over 2^n lanes: bit w of P_j is bit j of w."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+                 for j in range(n))
+
+
+def span_lanes(basis: Sequence[int],
+               nbits: int) -> Iterator[Tuple[List[int], int]]:
+    """Chunks holding every F_2-combination of the indices in basis:
+    lane w is the XOR of basis[j] over the bits j of w.  Plane b of the
+    low chunk is the XOR of the patterns P_j over the basis[j] with bit b
+    set; the other chunks add the XOR of the high basis vectors, that is
+    a constant mask."""
+    low, high = basis[:LANE_BITS], basis[LANE_BITS:]
+    lanes = 1 << len(low)
+    full = (1 << lanes) - 1
+    planes = [0] * nbits
+    for v, P in zip(low, _lane_patterns(len(low))):
+        for b in range(v.bit_length()):
+            if v >> b & 1:
+                planes[b] ^= P
+    consts = [0]
+    for v in high:
+        consts += [c ^ v for c in consts]
+    for c in consts:
+        yield [x ^ full if c >> b & 1 else x for b, x in enumerate(planes)], lanes
+
+
+def _plane_strings(words: Sequence[int], nbits: int) -> List[str]:
+    """The transposed indices as binary strings: character -1 - w of
+    string b is bit b of words[w]."""
+    rows = [format(x, f"0{nbits}b") for x in reversed(words)]
+    return ["".join(col) for col in reversed(list(zip(*rows)))]
+
+
+def word_lanes(words: Sequence[int],
+               nbits: int) -> Iterator[Tuple[List[int], int]]:
+    """Chunks with lane w holding the index words[w]."""
+    step = 1 << LANE_BITS
+    for s in range(0, len(words), step):
+        chunk = words[s:s + step]
+        yield [int(x, 2) for x in _plane_strings(chunk, nbits)], len(chunk)
+
+
+def pair_lanes(words: Sequence[int],
+               nbits: int) -> Iterator[Tuple[List[int], int]]:
+    """Chunks of the ordered pairs: with n words, lane i n + j holds
+    words[i] XOR words[j], the index of their difference in
+    characteristic 2.  Per block of rows, plane b is P_b repeated once
+    per row XOR the row bits of P_b spread over n lanes each."""
+    n = len(words)
+    strings = _plane_strings(words, nbits)
+    spread = {ord("0"): "0" * n, ord("1"): "1" * n}
+    rows = max(1, (1 << LANE_BITS) // n)
+    for i in range(0, n, rows):
+        r = min(rows, n - i)
+        yield [int(s * r, 2) ^ int(s[n - i - r:n - i].translate(spread), 2)
+               for s in strings], r * n
+
+
+@lru_cache(maxsize=8)
+def _product_terms(field: FieldSpec) -> tuple:
+    """For GF(2^e): per output bit i, the degrees d <= 2e - 2 whose
+    power x^d has bit i set, with x^d read off ``field.mul``."""
+    e = field.e
+    powers = [1 << d if d < e else field.mul(1 << e - 1, 1 << d - e + 1)
+              for d in range(2 * e - 1)]
+    return tuple(tuple(d for d, x in enumerate(powers) if x >> i & 1)
+                 for i in range(e))
+
+
+def _mul_planes(terms: tuple, a: List[int], x: List[int]) -> List[int]:
+    """Lane-wise product of the GF(2^e) elements held as e planes each."""
+    e = len(a)
+    by_degree = [0] * (2 * e - 1)
+    for s, ps in enumerate(a):
+        if ps:
+            for t, pt in enumerate(x):
+                by_degree[s + t] ^= ps & pt
+    out = []
+    for ds in terms:
+        acc = 0
+        for d in ds:
+            acc ^= by_degree[d]
+        out.append(acc)
+    return out
+
+
+def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
+                lanes: int) -> List[int]:
+    """counts[r] = how many of the lanes hold a k x m matrix of rank r,
+    for a field of characteristic 2.  planes[b] holds bit b of every
+    lane's index and no bit at or above ``lanes``.
+
+    Forward elimination on all lanes at once, fraction-free, with the
+    columns as the vectors reduced and the k rows as pivot positions.
+    At row i, column j leads in the lanes L_j = nz(entry) & ~seen, where
+    seen covers earlier pivot columns and lanes already led at row i; a
+    lane's rank is the number of rows where it found a lead.  Every
+    column j then becomes a X_j + b_j P, with a the pivot entry, P the
+    pivot column gathered lane by lane and b_j column j's entry at row
+    i: a single AND for GF(2), an e x e AND/XOR product reduced through
+    the modulus otherwise.  A pivot column cancels itself, and a column
+    that led at an earlier row is never read again.
+    """
+    e = field.e
+    full = (1 << lanes) - 1
+    # col[j][i]: the e planes of entry (i, j)
+    col = [[list(planes[e * (i * m + j): e * (i * m + j) + e])
+            for i in range(k)] for j in range(m)]
+    used = [0] * m
+    terms = _product_terms(field) if e > 1 else None
+    ranked = [full]  # ranked[r]: lanes with at least r leads so far
+    for i in range(k):
+        found = 0
+        lead = [0] * m
+        for j in range(m):
+            nz = 0
+            for x in col[j][i]:
+                nz |= x
+            L = nz & ~(used[j] | found)
+            if L:
+                lead[j] = L
+                used[j] |= L
+                found |= L
+        if not found:
+            continue
+        ranked.append(0)
+        for r in range(len(ranked) - 1, 0, -1):
+            ranked[r] |= ranked[r - 1] & found
+        if i == k - 1:
+            break
+        pivot = [[0] * e for _ in range(i, k)]
+        for j, L in enumerate(lead):
+            if L:
+                for p, x in zip(pivot, col[j][i:]):
+                    for s in range(e):
+                        p[s] |= x[s] & L
+        if e == 1:
+            for c in col:
+                b = c[i][0]
+                if b:
+                    for x, p in zip(c[i + 1:], pivot[1:]):
+                        x[0] ^= b & p[0]
+            continue
+        a = pivot[0]
+        a[0] |= full ^ found  # lanes without a pivot scale by 1
+        for c in col:
+            b = c[i]
+            if any(b):
+                for t, p in enumerate(pivot[1:], i + 1):
+                    c[t] = [u ^ v for u, v in zip(
+                        _mul_planes(terms, a, c[t]), _mul_planes(terms, b, p))]
+    counts = [x.bit_count() for x in ranked] + [0] * (k + 2 - len(ranked))
+    return [counts[r] - counts[r + 1] for r in range(k + 1)]
 
 
 @lru_cache(maxsize=32)

@@ -202,13 +202,10 @@ def _cmd_cosets(args) -> int:
     n, q = C.k * C.m, C.field.q
     _, top = _rref_rows(C.field, [list(reversed(B.entries)) for B in C.basis])
     free = [t for t in range(n) if n - 1 - t not in top]
-    pairs = []
-    for j in range(q ** len(free)):
-        idx = sum(d * q ** t for d, t in zip(digits(j, q, len(free)), free))
-        prof = cosets.coset_profile(C, index_to_mat(C.field, C.k, C.m, idx))
-        pairs.append((f"coset_{idx:0{len(str(N - 1))}d}",
-                      " ".join(str(w) for w in prof.W)))
-    _emit(pairs)
+    reps = [sum(d * q ** t for d, t in zip(digits(j, q, len(free)), free))
+            for j in range(q ** len(free))]
+    _emit([(f"coset_{idx:0{len(str(N - 1))}d}", " ".join(str(w) for w in W))
+           for idx, W in zip(reps, cosets.translate_weights(C, reps))])
     return 0
 
 

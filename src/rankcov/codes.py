@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .ambient import index_to_mat, mat_index, rank_of_index
+from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
+                      rank_of_index, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index
 from .matlin import Mat, Subspace, kernel
 from .qcomb import build_table, dual_weight_distribution
@@ -186,10 +187,11 @@ class RankCode:
         A linear code fills in both itself and its dual.  Unless one side
         already knows its distribution, it enumerates the smaller of C and
         its dual (C on a tie), so the guard counts that side; the other
-        side's distribution is the exact MacWilliams transform of it.  The
-        enumeration row-reduces only the (|C|-1)/(q-1) words whose last
-        nonzero basis coefficient is 1, each standing for its q-1 nonzero
-        multiples."""
+        side's distribution is the exact MacWilliams transform of it.  In
+        characteristic 2 every word is a lane of :func:`ambient.rank_counts`;
+        for odd p the enumeration row-reduces only the (|C|-1)/(q-1) words
+        whose last nonzero basis coefficient is 1, each standing for its
+        q-1 nonzero multiples."""
         if self._weight_distribution is not None:
             return list(self._weight_distribution)
         if not self.linear:
@@ -210,6 +212,14 @@ class RankCode:
         return list(self._weight_distribution)
 
     def _enumerated_weights(self, guard: int) -> List[int]:
+        F = self.field
+        if F.p == 2:
+            nbits = self.k * self.m * F.e
+            if self.linear:  # F_2-basis {x^s B}
+                return self._rank_counts(span_lanes(
+                    [mat_index(B.scale(1 << s))
+                     for B in self.basis for s in range(F.e)], nbits))
+            return self._rank_counts(word_lanes(self.word_indices(), nbits))
         words = self.word_indices(guard)
         rank = rank_of_index(self.field, self.k, self.m)
         W = [0] * (self.k + 1)
@@ -226,18 +236,34 @@ class RankCode:
 
     def _pairs(self) -> Tuple[int, ...]:
         """Ordered pairs of distinct words of a set at each distance,
-        counted once per code; rank(a - b) is read off the index a + (-b)."""
+        counted once per code.  In characteristic 2 every ordered pair,
+        (a, a) included, is a lane of :func:`ambient.pair_lanes`; otherwise
+        rank(a - b) is read off the index a + (-b), once per unordered
+        pair."""
         if self._pair_counts is None:
             F = self.field
             idx = [mat_index(M) for M in self.words]
-            neg = [mat_index(-M) for M in self.words]
-            rank = rank_of_index(F, self.k, self.m)
-            P = [0] * (self.k + 1)
-            for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
-                for b in neg[i + 1:]:
-                    P[rank(add_index(F, a, b))] += 2
+            if F.p == 2:
+                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
+                P[0] -= len(idx)
+            else:
+                neg = [mat_index(-M) for M in self.words]
+                rank = rank_of_index(F, self.k, self.m)
+                P = [0] * (self.k + 1)
+                for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
+                    for b in neg[i + 1:]:
+                        P[rank(add_index(F, a, b))] += 2
             self._pair_counts = tuple(P)
         return self._pair_counts
+
+    def _rank_counts(self, chunks) -> List[int]:
+        """How many lanes of the (planes, lanes) chunks have each rank."""
+        W = [0] * (self.k + 1)
+        for planes, lanes in chunks:
+            for r, c in enumerate(rank_counts(self.field, self.k, self.m,
+                                              planes, lanes)):
+                W[r] += c
+        return W
 
     def distance_counts(self, guard: int = ENUM_GUARD) -> List[int]:
         """|C| B_i: the ordered pairs of codewords at distance i, equal

@@ -36,6 +36,15 @@ def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
     """Exact weight distribution of the translate C+X by enumeration."""
     if X.field != C.field or (X.k, X.m) != (C.k, C.m):
         raise ValueError("translate matrix dimension/field mismatch")
+    W = translate_weights(C, [mat_index(X)], guard)[0]
+    minweight = next(i for i, w in enumerate(W) if w)
+    return CosetProfile(C, X, tuple(W), minweight)
+
+
+def translate_weights(C: RankCode, xs: Sequence[int],
+                      guard: int = ENUM_GUARD) -> List[List[int]]:
+    """The weight distribution of C+X for each X indexed by xs, with the
+    code expanded once for all of them."""
     if C.cardinality() > guard:
         raise GuardExceeded(
             f"coset enumeration over {C.cardinality()} codewords exceeds "
@@ -45,12 +54,14 @@ def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
         rank = rank_table(F, C.k, C.m).__getitem__
     else:
         rank = rank_of_index(F, C.k, C.m)
-    x_idx = mat_index(X)
-    W = [0] * (C.k + 1)
-    for w in C.word_indices(guard):
-        W[rank(add_index(F, w, x_idx))] += 1
-    minweight = next(i for i, w in enumerate(W) if w)
-    return CosetProfile(C, X, tuple(W), minweight)
+    words = C.word_indices(guard)
+    out = []
+    for x in xs:
+        W = [0] * (C.k + 1)
+        for w in words:
+            W[rank(add_index(F, w, x))] += 1
+        out.append(W)
+    return out
 
 
 def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,

@@ -34,6 +34,15 @@ class Mat:
         self.entries = entries
 
     @classmethod
+    def _of(cls, field: FieldSpec, k: int, m: int,
+            entries: Tuple[int, ...]) -> "Mat":
+        """A matrix whose entry tuple is valid by construction, such as
+        the result of field operations on valid matrices: no checks."""
+        M = object.__new__(cls)
+        M.field, M.k, M.m, M.entries = field, k, m, entries
+        return M
+
+    @classmethod
     def zero(cls, field: FieldSpec, k: int, m: int) -> "Mat":
         return cls(field, k, m, (0,) * (k * m))
 
@@ -64,29 +73,30 @@ class Mat:
         return tuple(self.entries[i * self.m + j] for i in range(self.k))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.m, self.k,
-                   [self.entries[i * self.m + j]
-                    for j in range(self.m) for i in range(self.k)])
+        return Mat._of(self.field, self.m, self.k,
+                       tuple(self.entries[i * self.m + j]
+                             for j in range(self.m) for i in range(self.k)))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._compat(other)
         F = self.field
-        return Mat(F, self.k, self.m,
-                   [F.add(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat._of(F, self.k, self.m, tuple(
+            F.add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._compat(other)
         F = self.field
-        return Mat(F, self.k, self.m,
-                   [F.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        return Mat._of(F, self.k, self.m, tuple(
+            F.sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Mat":
         F = self.field
-        return Mat(F, self.k, self.m, [F.neg(a) for a in self.entries])
+        return Mat._of(F, self.k, self.m, tuple(F.neg(a) for a in self.entries))
 
     def scale(self, c: int) -> "Mat":
         F = self.field
-        return Mat(F, self.k, self.m, [F.mul(c, a) for a in self.entries])
+        return Mat._of(F, self.k, self.m,
+                       tuple(F.mul(c, a) for a in self.entries))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field != other.field or self.m != other.k:
@@ -102,7 +112,7 @@ class Mat:
                         if b:
                             idx = i * other.m + j
                             out[idx] = F.add(out[idx], F.mul(a, b))
-        return Mat(F, self.k, other.m, out)
+        return Mat._of(F, self.k, other.m, tuple(out))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)

@@ -75,6 +75,13 @@ def test_parse_reports_code_errors_at_their_line(tmp_path, capsys, count,
     assert main(["info", path]) == 2
 
 
+@pytest.mark.parametrize("q,entry", [(2, "2"), (4, "4"), (3, "-1")])
+def test_an_entry_outside_the_field_exits_2(tmp_path, capsys, q, entry):
+    text = f"rmc 1\nq {q}\nk 2\nm 2\nkind set\ncount 1\n0 1\n{entry} 0\n"
+    assert main(["info", _write(tmp_path, "bad.rmc", text)]) == 2
+    assert f"bad.rmc:8: entry {entry} outside [0, {q})" in capsys.readouterr().err
+
+
 # the headers sit on lines 3-7, below a comment line
 @pytest.mark.parametrize("header,value,line", [
     ("k", "0", 4), ("m", "0", 5), ("count", "-3", 7), ("q", "6", 3),

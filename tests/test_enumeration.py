@@ -1,7 +1,8 @@
 """The index-native codeword pass against the Mat path.
 
 Codewords are enumerated as ambient indices and their ranks read from
-``ambient.rank_of_index``; here every result is compared with the same
+``ambient.rank_of_index`` or, in characteristic 2, counted lane-parallel
+by ``ambient.rank_counts``; here every result is compared with the same
 quantity computed on ``Mat`` objects: the span expanded by matrix
 addition, and ranks from ``matlin.rank`` and from the RREF pivot count.
 """
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from rankcov import codes
-from rankcov.ambient import index_to_mat, mat_index, rank_of_index
+from rankcov.ambient import index_to_mat, mat_index, rank_counts, rank_of_index
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.covering import external_distance
@@ -225,15 +226,28 @@ def test_pair_distributions_match_enumeration_in_every_call_order(q):
                 i for i in range(1, C.k + 1) if W[i])
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 9))
-def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
+def count_ranked_words(monkeypatch):
+    """A list that grows by one per word whose rank a codeword pass
+    evaluates: per call of a ``rank_of_index`` kernel and per lane handed
+    to ``rank_counts``."""
     calls = []
 
     def counting(field, k, m):
         inner = rank_of_index(field, k, m)
         return lambda idx: calls.append(idx) or inner(idx)
 
+    def counting_lanes(field, k, m, planes, lanes):
+        calls.extend(range(lanes))
+        return rank_counts(field, k, m, planes, lanes)
+
     monkeypatch.setattr(codes, "rank_of_index", counting)
+    monkeypatch.setattr(codes, "rank_counts", counting_lanes)
+    return calls
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
+    calls = count_ranked_words(monkeypatch)
     for C in pair_codes(q):
         for dual_first in (False, True):
             A = fresh(C)
@@ -244,17 +258,14 @@ def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
             A.dual().weight_distribution()
             external_distance(A)
             small = min(A.cardinality(), A.dual().cardinality())
-            assert len(calls) == (small - 1) // (q - 1)  # projective words
+            if q % 2:  # the projective words
+                assert len(calls) == (small - 1) // (q - 1)
+            else:  # every word is a lane
+                assert len(calls) == small
 
 
 def test_a_dual_that_knows_its_distribution_is_not_re_enumerated(monkeypatch):
-    calls = []
-
-    def counting(field, k, m):
-        inner = rank_of_index(field, k, m)
-        return lambda idx: calls.append(idx) or inner(idx)
-
-    monkeypatch.setattr(codes, "rank_of_index", counting)
+    calls = count_ranked_words(monkeypatch)
     C = random_linear_code(field_from_order(2), 3, 4, 4, random.Random(4))
     W, WD = enumerated_weights(C), enumerated_weights(fresh(C).dual())
     for dual_first in (False, True):
@@ -265,7 +276,7 @@ def test_a_dual_that_knows_its_distribution_is_not_re_enumerated(monkeypatch):
             calls.clear()
             assert X.weight_distribution() == (W if X is A else WD)
             counts.append(len(calls))
-        assert counts == [15, 0]  # the 15 projective words of the 16-word C
+        assert counts == [16, 0]  # the 16 lanes of the 16-word C
 
 
 def test_guard_counts_the_enumerated_side():

@@ -15,6 +15,28 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 
 
+def test_public_constructors_reject_entries_outside_the_field():
+    for F, bad in ((F2, 2), (F3, 3), (F4, 4), (F4, -1)):
+        with pytest.raises(ValueError, match=f"element code {bad} out of range"):
+            Mat(F, 2, 2, [0, 1, bad, 0])
+        with pytest.raises(ValueError, match=f"element code {bad} out of range"):
+            devectorize(F, [bad, 0, 0, 1], 2, 2)
+        with pytest.raises(ValueError, match=f"element code {bad} out of range"):
+            Mat.from_rows(F, [[0, 1], [0, bad]])
+
+
+def test_derived_matrices_pass_the_entry_check():
+    rng = random.Random(3)
+    for F in (F2, F3, F4):
+        for _ in range(20):
+            A, B = random_matrix(F, 2, 3, rng), random_matrix(F, 2, 3, rng)
+            C = random_matrix(F, 3, 3, rng)
+            for R in (A + B, A - B, -A, A.scale(rng.randrange(F.q)),
+                      A @ C, A.transpose()):
+                assert type(R.entries) is tuple
+                assert Mat(F, R.k, R.m, R.entries) == R  # the public check
+
+
 def test_rank_zero_and_identity():
     assert rank(Mat.zero(F2, 3, 4)) == 0
     assert rank(Mat.identity(F3, 3)) == 3
