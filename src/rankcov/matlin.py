@@ -74,29 +74,29 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat._of(self.field, self.m, self.k,
-                       tuple(self.entries[i * self.m + j]
-                             for j in range(self.m) for i in range(self.k)))
+                       tuple([self.entries[i * self.m + j]
+                              for j in range(self.m) for i in range(self.k)]))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._compat(other)
         F = self.field
         return Mat._of(F, self.k, self.m, tuple(
-            F.add(a, b) for a, b in zip(self.entries, other.entries)))
+            [F.add(a, b) for a, b in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._compat(other)
         F = self.field
         return Mat._of(F, self.k, self.m, tuple(
-            F.sub(a, b) for a, b in zip(self.entries, other.entries)))
+            [F.sub(a, b) for a, b in zip(self.entries, other.entries)]))
 
     def __neg__(self) -> "Mat":
         F = self.field
-        return Mat._of(F, self.k, self.m, tuple(F.neg(a) for a in self.entries))
+        return Mat._of(F, self.k, self.m, tuple([F.neg(a) for a in self.entries]))
 
     def scale(self, c: int) -> "Mat":
         F = self.field
         return Mat._of(F, self.k, self.m,
-                       tuple(F.mul(c, a) for a in self.entries))
+                       tuple([F.mul(c, a) for a in self.entries]))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.field != other.field or self.m != other.k:
