@@ -4,8 +4,10 @@ A matrix is indexed by the little-endian base-q number whose digit t is
 the t-th row-major entry (the :func:`gfield.digits` codec).  In
 characteristic 2 an element code is the element's GF(2) coordinate
 vector, so matrix addition is XOR of indices.  The packing never leaks
-into serialization.  :func:`rank_of_index` row-reduces one matrix; the
-codeword passes in :mod:`codes` use it.
+into serialization.  :func:`rank_of_index` row-reduces one matrix, and
+in characteristic 2 :func:`rank_counts` ranks a whole pass of matrices
+at once, one bit per matrix; the codeword passes in :mod:`codes` use
+them.
 
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
@@ -63,8 +65,9 @@ LANE_BITS = 16
 def _lane_patterns(n: int) -> tuple:
     """P_0..P_(n-1) over 2^n lanes: bit w of P_j is bit j of w."""
     full = (1 << (1 << n)) - 1
-    return tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
-                 for j in range(n))
+    # period 2^(j+1): 2^j zero bits, then 2^j one bits
+    return tuple(full // ((1 << (2 << j)) - 1)
+                 * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(n))
 
 
 def span_lanes(basis: Sequence[int],
@@ -163,8 +166,9 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     column j then becomes a X_j + b_j P, with a the pivot entry, P the
     pivot column gathered lane by lane and b_j column j's entry at row
     i: a single AND for GF(2), an e x e AND/XOR product reduced through
-    the modulus otherwise.  A pivot column cancels itself, and a column
-    that led at an earlier row is never read again.
+    the modulus otherwise.  A pivot column cancels itself, and the lanes
+    where a column led at an earlier row are masked out of every later
+    lead and gather, so what the update writes there is never read.
     """
     e = field.e
     full = (1 << lanes) - 1
