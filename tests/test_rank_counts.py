@@ -76,6 +76,17 @@ def test_kernel_matches_rank_of_index_on_every_index(q, k, m):
                 == per_word_counts(F, k, m, part)
 
 
+@pytest.mark.parametrize("q", (16, 256, 2048))
+def test_kernel_on_larger_fields(q):
+    F = field_from_order(q)  # GF(2048) has no mul table: F.mul computes
+    rng = random.Random(q)
+    for k, m in ((1, 2), (2, 2), (2, 3)):
+        sample = [rng.randrange(q ** (k * m)) for _ in range(300)]
+        sample += [0, q ** (k * m) - 1]
+        assert kernel_counts(F, k, m, sample) \
+            == per_word_counts(F, k, m, sample)
+
+
 def test_every_lane_builder_crosses_a_chunk_boundary(monkeypatch):
     F = field_from_order(2)
     k, m = 3, 4
