@@ -13,7 +13,8 @@ modules it runs.
 from importlib import import_module
 
 _HOMES = {
-    "gfield": ("FieldSpec", "field_from_order", "make_field"),
+    "gfield": ("FieldSpec", "extension_field", "field_from_order",
+               "make_field"),
     "matlin": ("Mat", "Subspace", "column_space", "devectorize",
                "enumerate_subspaces", "kernel", "rank", "random_invertible",
                "rref", "trace_inner", "vectorize"),
@@ -30,9 +31,8 @@ _HOMES = {
                  "bounds_report", "covering_radius_exact",
                  "external_distance", "initial_set", "is_maximal",
                  "maximality_degree", "min_line_cover"),
-    "construct": ("ExtensionField", "dually_qmrd", "extension_field",
-                  "gabidulin", "linearized_map_code", "nested_gabidulin",
-                  "random_code", "random_linear_code"),
+    "construct": ("dually_qmrd", "gabidulin", "linearized_map_code",
+                  "nested_gabidulin", "random_code", "random_linear_code"),
 }
 # public name -> the module that defines it
 _TABLE = {name: module for module, names in _HOMES.items() for name in names}

@@ -20,7 +20,7 @@ from . import covering
 from .ambient import index_to_mat
 from .codes import ENUM_GUARD, GuardExceeded, RankCode
 from .gfield import digits, field_from_order
-from .matlin import Mat, _rref_rows, rank, random_invertible
+from .matlin import Mat, Subspace, rank, random_invertible
 
 EXIT_PARSE = 2
 EXIT_GUARD = 3
@@ -200,7 +200,7 @@ def _cmd_cosets(args) -> int:
     # a coset's least index is its one member that is zero at the pivots
     # of the basis echelonized from the top digit
     n, q = C.k * C.m, C.field.q
-    _, top = _rref_rows(C.field, [list(reversed(B.entries)) for B in C.basis])
+    top = Subspace(C.field, n, [B.entries[::-1] for B in C.basis]).pivots
     free = [t for t in range(n) if n - 1 - t not in top]
     reps = [sum(d * q ** t for d, t in zip(digits(j, q, len(free)), free))
             for j in range(q ** len(free))]

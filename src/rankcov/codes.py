@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
                       rank_of_index, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index
-from .matlin import Mat, Subspace, kernel
+from .matlin import Mat, Subspace
 from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
@@ -23,26 +23,6 @@ ENUM_GUARD = 1 << 24
 
 class GuardExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the work guard."""
-
-
-def solve_span(gens: Sequence[Mat], images: Sequence[Sequence[int]]) -> List[Mat]:
-    """Basis of the combinations sum c_j gens[j] with sum c_j images[j] = 0.
-
-    images[j] is the constraint vector of gens[j]; every image has the
-    same length.
-    """
-    if not gens:
-        return []
-    F = gens[0].field
-    sol = kernel(Mat.from_rows(F, images).transpose())
-    out = []
-    for coeffs in sol.basis:
-        M = Mat.zero(F, gens[0].k, gens[0].m)
-        for c, B in zip(coeffs, gens):
-            if c:
-                M = M + B.scale(c)
-        out.append(M)
-    return out
 
 
 class RankCode:
@@ -63,7 +43,7 @@ class RankCode:
         self.linear = span is not None
         self.span = span
         self.basis = (None if span is None
-                      else tuple(Mat(field, k, m, r) for r in span.basis))
+                      else tuple(Mat._of(field, k, m, r) for r in span.basis))
         self.words = words
         self._min_distance = None
         self._weight_distribution = None
@@ -301,13 +281,16 @@ class RankCode:
         if U.field != self.field or U.ambient != self.k:
             raise ValueError("subspace ambient mismatch")
         if self.linear:
-            # colspace(M) <= U  iff  P M = 0 with rows of P spanning U-perp
+            # colspace(M) <= U  iff  P M = 0 with rows of P spanning U-perp;
+            # the words [P M | M] with a zero head P M are C(U)
             perp = U.orthogonal()
             if perp.dim == 0:
                 return self
             P = Mat.from_rows(self.field, perp.basis)
-            mats = solve_span(self.basis, [(P @ B).entries for B in self.basis])
-            return RankCode.from_generators(self.field, self.k, self.m, mats)
+            pairs = Subspace(self.field, (perp.dim + self.k) * self.m,
+                             [(P @ B).entries + B.entries for B in self.basis])
+            return RankCode(self.field, self.k, self.m,
+                            span=pairs.zero_head(perp.dim * self.m))
         kept = [M for M in self.words
                 if all(U.contains(M.col(j)) for j in range(self.m))]
         if not kept:

@@ -12,67 +12,24 @@ coordinates, so (coords of x) . M = coords of f(x).
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .gfield import (FieldSpec, _SquareAndMultiply, _mul_codes, add_index,
-                     digits, field_from_order, least_modulus, undigits)
-from .matlin import Mat, _rref_rows, devectorize
+from .gfield import FieldSpec, digits, extension_field, field_from_order
+from .matlin import Mat, Subspace
 from .codes import RankCode
 
 
-class ExtensionField(_SquareAndMultiply):
-    """GF(q^m) over a base GF(q), polynomial basis 1, a, ..., a^{m-1}.
-
-    Elements are integers in [0, q^m) whose base-q digits (low digit
-    first) are the basis coordinates; the expansion map to F_q^m is the
-    digit vector.  The modulus is the lexicographically least monic
-    irreducible of degree m over the base, as in the base-field rule.
-    """
-
-    __slots__ = ("base", "degree", "order", "modulus")
-
-    def __init__(self, base: FieldSpec, degree: int):
-        if degree < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.base = base
-        self.degree = degree
-        self.order = base.q ** degree
-        self.modulus = least_modulus(base, degree)
-
-    def expand(self, code: int) -> Tuple[int, ...]:
-        return digits(code, self.base.q, self.degree)
-
-    def compress(self, digits) -> int:
-        return undigits(digits, self.base.q)
-
-    def basis_element(self, j: int) -> int:
-        return self.base.q ** j
-
-    def add(self, a: int, b: int) -> int:
-        return add_index(self.base, a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        return _mul_codes(self.base, self.modulus, a, b)
-
-
-@lru_cache(maxsize=None)
-def extension_field(q: int, m: int) -> ExtensionField:
-    return ExtensionField(field_from_order(q), m)
-
-
 def _evaluation_generators(q: int, k: int, m: int, powers: List[int]) -> List[Mat]:
-    """Generators row j = expansion of c * g_j^{q^i}, over all basis c and
-    the given Frobenius powers i; g_j the first k basis elements."""
+    """Generators row t = expansion of c * g_t^{q^i}, over all basis c and
+    the given Frobenius powers i; g_t = x^t, the basis element of code
+    q^t, for t < k."""
     base = field_from_order(q)
     ext = extension_field(q, m)
-    points = [ext.basis_element(t) for t in range(k)]
     gens = []
     for i in powers:
-        frobbed = [ext.pow(g, q ** i) for g in points]
+        frobbed = [ext.pow(q ** t, q ** i) for t in range(k)]
         for j in range(m):
-            c = ext.basis_element(j)
-            rows = [ext.expand(ext.mul(c, fg)) for fg in frobbed]
+            rows = [digits(ext.mul(q ** j, fg), q, m) for fg in frobbed]
             gens.append(Mat.from_rows(base, rows))
     return gens
 
@@ -159,11 +116,10 @@ def random_linear_code(field: FieldSpec, k: int, m: int, dim: int,
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = k * m
     while True:
-        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)]
-        _, pivots = _rref_rows(field, [list(r) for r in rows])
-        if len(pivots) == dim:
-            mats = [devectorize(field, r, k, m) for r in rows]
-            return RankCode.from_generators(field, k, m, mats)
+        span = Subspace(field, n, [[rng.randrange(field.q) for _ in range(n)]
+                                   for _ in range(dim)])
+        if span.dim == dim:
+            return RankCode(field, k, m, span=span)
 
 
 def random_code(field: FieldSpec, k: int, m: int, size: int, seed) -> RankCode:

@@ -110,17 +110,23 @@ def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,
     return out
 
 
-def high_dim_section_count(C: RankCode, X: Mat, U: Subspace,
-                           guard: int = ENUM_GUARD) -> int:
-    """|(C+X)(U)|: translate elements with column space inside U."""
+def high_dim_section_count(C: RankCode, X: Mat, U: Subspace) -> int:
+    """|(C+X)(U)|: translate elements with column space inside U.  With
+    the rows of P spanning U-perp that is the number of M in C with
+    P M = -P X: |C(U)| when P X lies in P C = span{P B}, else 0."""
     if not C.linear:
         raise ValueError("section counts are defined for linear codes")
-    count = 0
-    for M in C.codewords(guard):
-        S = M + X
-        if all(U.contains(S.col(j)) for j in range(C.m)):
-            count += 1
-    return count
+    if X.field != C.field or (X.k, X.m) != (C.k, C.m):
+        raise ValueError("translate matrix dimension/field mismatch")
+    section = C.restrict(U)
+    perp = U.orthogonal()
+    if perp.dim:
+        P = Mat.from_rows(C.field, perp.basis)
+        image = Subspace(C.field, perp.dim * C.m,
+                         [(P @ B).entries for B in C.basis])
+        if not image.contains((P @ X).entries):
+            return 0
+    return section.cardinality()
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,20 @@ class LinePattern:
         self.cells = cells
 
 
+def _augment(adj: Dict[int, List[int]], match_col: Dict[int, int],
+             row: int, seen: Set[int]) -> bool:
+    """One augmenting-path search from row (Kuhn's algorithm)."""
+    for col in adj.get(row, ()):
+        if col in seen:
+            continue
+        seen.add(col)
+        if col not in match_col or _augment(adj, match_col, match_col[col],
+                                            seen):
+            match_col[col] = row
+            return True
+    return False
+
+
 def min_line_cover(S: LinePattern) -> int:
     """Minimum rows+columns covering all cells; equals the maximum
     matching size of the row/column bipartite graph."""
@@ -101,22 +115,7 @@ def min_line_cover(S: LinePattern) -> int:
     for (i, j) in sorted(S.cells):
         adj.setdefault(i, []).append(j)
     match_col: Dict[int, int] = {}
-
-    def augment(row: int, seen: Set[int]) -> bool:
-        for col in adj.get(row, ()):
-            if col in seen:
-                continue
-            seen.add(col)
-            if col not in match_col or augment(match_col[col], seen):
-                match_col[col] = row
-                return True
-        return False
-
-    size = 0
-    for row in sorted(adj):
-        if augment(row, set()):
-            size += 1
-    return size
+    return sum(_augment(adj, match_col, row, set()) for row in sorted(adj))
 
 
 def _initial_set_cover(C: RankCode) -> Tuple[int, int]:

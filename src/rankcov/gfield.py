@@ -2,16 +2,17 @@
 
 Elements of GF(p^e) are encoded as integers in [0, q): the base-p digits
 of the code are the coefficients of the element in the polynomial basis,
-constant term first.  The modulus is always the lexicographically least
-monic irreducible polynomial of degree e over GF(p) (coefficients compared
-from the constant term upward), so two fields with the same (p, e) are
-bit-for-bit identical.
+constant term first.  The modulus of :func:`make_field` is always the
+lexicographically least monic irreducible polynomial of degree e over
+GF(p) (coefficients compared from the constant term upward), so two
+fields with the same (p, e) are bit-for-bit identical.
+:func:`extension_field` builds GF(q^m) over GF(q) by the same rule.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 MAX_ORDER = 1 << 16
 
@@ -159,47 +160,28 @@ def _mul_codes(F, modulus: Tuple[int, ...], a: int, b: int) -> int:
     return undigits(_poly_mod(F, prod, modulus), F.q)
 
 
-class _SquareAndMultiply:
-    """`pow` for a field class that has `mul` and `order`."""
+class FieldSpec:
+    """Immutable description of GF(p^e) = base[x]/(modulus) plus its
+    arithmetic.  The base defaults to GF(p); an element code's base-|base|
+    digits are its coordinates in the polynomial basis.
 
-    __slots__ = ()
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            return 1 if n == 0 else 0
-        n %= self.order - 1
-        result = 1
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
-
-
-class FieldSpec(_SquareAndMultiply):
-    """Immutable description of GF(p^e) plus its arithmetic.
-
-    Construct via :func:`make_field`; direct instantiation skips the
-    deterministic-modulus guarantee.
+    Construct via :func:`make_field` or :func:`extension_field`; direct
+    instantiation skips the deterministic-modulus guarantee.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_prime", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "base", "_mul_table", "_inv_table")
 
-    def __init__(self, p: int, e: int, modulus: Tuple[int, ...]):
+    def __init__(self, p: int, e: int, modulus: Tuple[int, ...],
+                 base: Optional["FieldSpec"] = None):
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        self._prime = make_field(p) if e > 1 else None
+        self.base = make_field(p) if base is None and e > 1 else base
         self._mul_table = None
         self._inv_table = None
         if self.q <= _TABLE_CAP:
             self._build_tables()
-
-    @property
-    def order(self) -> int:
-        return self.q
 
     def _build_tables(self) -> None:
         """mul/inv tables from the powers of the least generator g of the
@@ -227,9 +209,9 @@ class FieldSpec(_SquareAndMultiply):
         self._inv_table = [0] + [exp[-la] for la in logs]
 
     def _mul_direct(self, a: int, b: int) -> int:
-        if self.e == 1:
+        if self.base is None:
             return (a * b) % self.p
-        return _mul_codes(self._prime, self.modulus, a, b)
+        return _mul_codes(self.base, self.modulus, a, b)
 
     # -- element operations (codes in [0, q)) --
 
@@ -272,11 +254,24 @@ class FieldSpec(_SquareAndMultiply):
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
+    def pow(self, a: int, n: int) -> int:
+        if a == 0:
+            return 1 if n == 0 else 0
+        n %= self.q - 1
+        result = 1
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
+
     def elements(self):
         return range(self.q)
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
+        return (isinstance(other, FieldSpec) and (self.p, self.e, self.modulus)
+                == (other.p, other.e, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.e))
@@ -297,6 +292,18 @@ def make_field(p: int, e: int = 1) -> FieldSpec:
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
     return FieldSpec(p, e, least_modulus(make_field(p), e))
+
+
+@lru_cache(maxsize=None)
+def extension_field(q: int, m: int) -> FieldSpec:
+    """GF(q^m) over GF(q), modulo the least monic irreducible of degree m
+    over GF(q), and GF(q) itself for m = 1; no order cap."""
+    if m < 1:
+        raise ValueError("extension degree must be >= 1")
+    base = field_from_order(q)
+    if m == 1:
+        return base
+    return FieldSpec(base.p, base.e * m, least_modulus(base, m), base)
 
 
 def field_from_order(q: int) -> FieldSpec:

@@ -180,6 +180,14 @@ class Subspace:
                 out.append(v)
         return Subspace(F, self.ambient, out)
 
+    def zero_head(self, h: int) -> "Subspace":
+        """The vectors whose first h coordinates vanish, those coordinates
+        dropped: the tails of the RREF rows whose pivot is at h or
+        beyond, which are already in RREF."""
+        return Subspace(self.field, self.ambient - h,
+                        [r[h:] for r, p in zip(self.basis, self.pivots)
+                         if p >= h])
+
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         """All q^dim vectors of the subspace."""
         F = self.field

@@ -8,8 +8,8 @@ They are trace-dual to each other.
 
 from __future__ import annotations
 
-from .matlin import Mat, rank
-from .codes import RankCode, solve_span
+from .matlin import Mat, Subspace, rank
+from .codes import RankCode
 
 
 def _check_transform(C: RankCode, A: Mat) -> None:
@@ -27,7 +27,7 @@ def _check_spec(C: RankCode, A: Mat, u: int) -> None:
 
 def _project(M: Mat, u: int) -> Mat:
     """Projection on the last k-u rows."""
-    return Mat(M.field, M.k - u, M.m, M.entries[u * M.m:])
+    return Mat._of(M.field, M.k - u, M.m, M.entries[u * M.m:])
 
 
 def left_mul(A: Mat, C: RankCode) -> RankCode:
@@ -57,10 +57,8 @@ def shorten(C: RankCode, A: Mat, u: int) -> RankCode:
     if not C.contains(zero):
         raise ValueError("shortening requires 0 to be a codeword")
     if C.linear:
-        transformed = [A @ B for B in C.basis]
-        heads = [M.entries[: u * C.m] for M in transformed]
-        gens = [_project(M, u) for M in solve_span(transformed, heads)]
-        return RankCode.from_generators(C.field, C.k - u, C.m, gens)
+        image = Subspace(C.field, C.k * C.m, [(A @ B).entries for B in C.basis])
+        return RankCode(C.field, C.k - u, C.m, span=image.zero_head(u * C.m))
     kept = [_project(A @ M, u) for M in C.words
             if all(x == 0 for x in (A @ M).entries[: u * C.m])]
     return RankCode.from_codewords(C.field, C.k - u, C.m, kept)

@@ -278,6 +278,16 @@ def test_guard_refusal_exit_3(tmp_path, capsys):
     assert main(["covering-radius", path]) == 3
 
 
+def test_force_does_not_lift_the_enumeration_guard(tmp_path, capsys):
+    # --force lifts the ambient-search and coset-table guards only: a code
+    # and dual of 2^28 words each are still refused
+    C = random_linear_code(F2, 7, 8, 28, 28)
+    path = _write(tmp_path, "half.rmc", serialize(C))
+    assert main(["--force", "bounds", path]) == 3
+    assert capsys.readouterr().err == ("code has 268435456 words, "
+                                       "guard is 16777216\n")
+
+
 def test_bounds_on_zero_code_beyond_guard(tmp_path, capsys):
     # the dual is the full space, whose minimum distance is 1 without
     # enumerating its 4^25 words; the scan is refused, so no rho_exact

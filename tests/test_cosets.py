@@ -76,16 +76,27 @@ def test_coset_profile_above_table_cap_builds_no_table(monkeypatch):
 
 
 def test_section_count_matches_filter():
+    # every subspace U, with X zero, a nonzero codeword and outside C
     rng = random.Random(43)
-    C = random_linear_code(F2, 3, 3, 4, rng)
-    X = random_matrix(F2, 3, 3, rng)
-    for u in range(4):
-        for U in enumerate_subspaces(F2, 3, u):
-            n = high_dim_section_count(C, X, U)
-            brute = sum(1 for M in C.codewords()
-                        if all(U.contains((M + X).col(j)) for j in range(3)))
-            assert n == brute
-        break
+    sections = empty = 0
+    for q, k, m, dim in ((2, 3, 3, 4), (3, 2, 2, 2), (4, 2, 2, 2)):
+        F = field_from_order(q)
+        C = random_linear_code(F, k, m, dim, rng)
+        words = list(C.codewords())
+        outside = random_matrix(F, k, m, rng)
+        while C.contains(outside):
+            outside = random_matrix(F, k, m, rng)
+        for X in (words[0], words[1], outside):
+            for u in range(k + 1):
+                for U in enumerate_subspaces(F, k, u):
+                    n = high_dim_section_count(C, X, U)
+                    brute = sum(1 for M in words
+                                if all(U.contains((M + X).col(j))
+                                       for j in range(m)))
+                    assert n == brute
+                    sections += 1
+                    empty += brute == 0
+    assert sections == 3 * (16 + 6 + 7) and 0 < empty < sections
 
 
 def test_section_counts_above_dual_distance_are_translate_invariant():

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -163,6 +164,23 @@ def test_min_line_cover_small_patterns():
     assert min_line_cover(LinePattern(2, 3, row)) == 1
     full = frozenset((i, j) for i in (1, 2) for j in (1, 2, 3))
     assert min_line_cover(LinePattern(2, 3, full)) == 2
+
+
+def test_min_line_cover_leaves_no_reference_cycle():
+    # every object gc finds unreachable is kept in gc.garbage
+    cells = frozenset((i, j) for i in range(1, 4) for j in range(1, 5)
+                      if (i + j) % 3)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert min_line_cover(LinePattern(3, 4, cells)) == 3
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def test_min_line_cover_matches_exhaustive_cover_search():

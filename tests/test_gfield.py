@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rankcov.gfield import FieldSpec, digits, field_from_order, make_field
+from rankcov.gfield import (FieldSpec, digits, extension_field,
+                            field_from_order, make_field)
 from rankcov.gfield import _is_irreducible, _mul_codes
 
 
@@ -136,6 +137,23 @@ def test_order_cap_enforced():
 def test_same_parameters_give_identical_spec():
     assert make_field(2, 4) is make_field(2, 4)
     assert make_field(3, 2) == FieldSpec(3, 2, make_field(3, 2).modulus)
+
+
+def test_extension_field_equality_compares_the_modulus():
+    # GF(16) over GF(4) encodes elements in another basis than over GF(2)
+    assert extension_field(4, 2) != make_field(2, 4)
+    assert hash(extension_field(4, 2)) == hash(make_field(2, 4))
+    assert extension_field(2, 3) == make_field(2, 3)
+    assert extension_field(9, 1) is field_from_order(9)
+
+
+def test_extension_field_has_no_order_cap():
+    E = extension_field(4, 9)  # 2^18 elements, above MAX_ORDER
+    assert (E.p, E.e, E.q) == (2, 18, 1 << 18) and E._mul_table is None
+    a, b = 0x2f3a1, 0x1b0c7
+    assert E.mul(a, E.inv(a)) == 1
+    assert E.mul(a, E.add(b, 1)) == E.add(E.mul(a, b), a)
+    assert E.pow(E.add(a, b), 4) == E.add(E.pow(a, 4), E.pow(b, 4))
 
 
 def test_field_from_order():

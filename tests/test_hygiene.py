@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and no module imports another module's underscore names.
 
 ``__init__.py`` resolves its names lazily and imports none of them, and
 ``from __future__`` imports are directives, so neither is checked.
@@ -28,6 +29,17 @@ def unused_imports(tree: ast.Module):
                   if name not in used)
 
 
+# (importing module, name): the rank kernels ambient shares with matlin
+PRIVATE_ALLOWED = {("ambient", "_rank_gf2"), ("ambient", "_rank_rows")}
+
+
+def private_imports(tree: ast.Module):
+    """(line, name) of every underscore name imported from a module."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_the_package_modules_are_found():
     assert {"codes", "matlin", "gfield"} <= {p.stem for p in MODULES}
 
@@ -42,3 +54,16 @@ def test_an_unused_import_is_reported():
     tree = ast.parse("import os\nfrom .matlin import Mat, kernel\n"
                      "print(os.sep, Mat)\n")
     assert unused_imports(tree) == [(2, "kernel")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [(line, name) for line, name in private_imports(tree)
+            if (path.stem, name) not in PRIVATE_ALLOWED] == []
+
+
+def test_a_private_import_is_reported():
+    tree = ast.parse("from .matlin import Mat, _rref_rows\n"
+                     "from . import _x as y\n")
+    assert private_imports(tree) == [(1, "_rref_rows"), (2, "_x")]

@@ -206,3 +206,20 @@ def test_subspace_orthogonal_complement():
             for a, b in zip(u, v):
                 acc = F2.add(acc, F2.mul(a, b))
             assert acc == 0
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=repr)
+def test_zero_head_matches_filter(field):
+    # the tails of the vectors whose first h coordinates vanish, by brute
+    # force over every vector of the subspace, for every head length h
+    rng = random.Random(field.q)
+    for n, dim in ((4, 2), (4, 3), (5, 2), (3, 0), (3, 3)):
+        for _ in range(4):
+            S = Subspace(field, n, [[rng.randrange(field.q) for _ in range(n)]
+                                    for _ in range(dim)])
+            vecs = list(S.vectors())
+            for h in range(n + 1):
+                T = S.zero_head(h)
+                assert T.ambient == n - h
+                assert set(T.vectors()) == {v[h:] for v in vecs
+                                            if not any(v[:h])}
