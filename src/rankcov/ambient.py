@@ -18,11 +18,11 @@ rank off the balls around {0}.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from .gfield import FieldSpec, digits, undigits
-from .matlin import Mat, _rank_gf2, _rank_rows
+from .matlin import Mat, _rank_packed, rank
 
 
 def mat_index(M: Mat) -> int:
@@ -36,19 +36,12 @@ def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
 def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
     """The rank of a k x m matrix as a function of its index.
 
-    Each call eliminates the matrix's rows: bit-packed rows for q = 2,
-    rows of digits otherwise.  Nothing of size q^(km) is built or read.
+    Each call eliminates the matrix's rows: packed rows in characteristic
+    2, rows of digits otherwise.  Nothing of size q^(km) is built or read.
     """
-    n = k * m
-    if field.q == 2:
-        mask = (1 << m) - 1
-        shifts = range(0, n, m)
-        return lambda idx: _rank_gf2([(idx >> s) & mask for s in shifts])
-
-    def rank(idx: int) -> int:
-        d = digits(idx, field.q, n)
-        return _rank_rows(field, [d[s:s + m] for s in range(0, n, m)])
-    return rank
+    if field.p == 2:
+        return partial(_rank_packed, field, k, m)
+    return lambda idx: rank(index_to_mat(field, k, m, idx))
 
 
 # -- bit-sliced ranks in characteristic 2 --
@@ -92,11 +85,10 @@ def span_lanes(basis: Sequence[int],
         yield [x ^ full if c >> b & 1 else x for b, x in enumerate(planes)], lanes
 
 
-def _plane_strings(words: Sequence[int], nbits: int) -> List[str]:
-    """The transposed indices as binary strings: character -1 - w of
-    string b is bit b of words[w]."""
+def _planes(words: Sequence[int], nbits: int) -> List[int]:
+    """The transposed indices: bit w of plane b is bit b of words[w]."""
     rows = [format(x, f"0{nbits}b") for x in reversed(words)]
-    return ["".join(col) for col in reversed(list(zip(*rows)))]
+    return [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
 
 
 def word_lanes(words: Sequence[int],
@@ -105,23 +97,32 @@ def word_lanes(words: Sequence[int],
     step = 1 << LANE_BITS
     for s in range(0, len(words), step):
         chunk = words[s:s + step]
-        yield [int(x, 2) for x in _plane_strings(chunk, nbits)], len(chunk)
+        yield _planes(chunk, nbits), len(chunk)
 
 
 def pair_lanes(words: Sequence[int],
                nbits: int) -> Iterator[Tuple[List[int], int]]:
     """Chunks of the ordered pairs: with n words, lane i n + j holds
     words[i] XOR words[j], the index of their difference in
-    characteristic 2.  Per block of rows, plane b is P_b repeated once
-    per row XOR the row bits of P_b spread over n lanes each."""
+    characteristic 2.  In a block of r <= n rows from row i, plane b is
+    P_b times the repunit (r copies at period n) XOR, per row t, n ones
+    where bit i + t of P_b is set."""
     n = len(words)
-    strings = _plane_strings(words, nbits)
-    spread = {ord("0"): "0" * n, ord("1"): "1" * n}
+    planes = _planes(words, nbits)
     rows = max(1, (1 << LANE_BITS) // n)
+    ones = (1 << n) - 1
     for i in range(0, n, rows):
         r = min(rows, n - i)
-        yield [int(s * r, 2) ^ int(s[n - i - r:n - i].translate(spread), 2)
-               for s in strings], r * n
+        rep = ((1 << r * n) - 1) // ones  # bit t n for t < r
+        diag = ((1 << r * (n + 1)) - 1) // ((2 << n) - 1)  # bit t (n + 1)
+        half, top = rep * (ones >> 1), rep << n - 1
+        out = []
+        for P in planes:
+            # block t holds bit i + t of P at its bit t, so it is 0 or at
+            # most 2^(n-1), and adding 2^(n-1) - 1 sets its top bit if not 0
+            row_bits = (P >> i & (1 << r) - 1) * rep & diag
+            out.append(P * rep ^ ((row_bits + half & top) >> n - 1) * ones)
+        yield out, r * n
 
 
 @lru_cache(maxsize=8)

@@ -4,15 +4,20 @@ Matrices are immutable, stored row-major as a tuple of integer element
 codes.  Subspaces of F_q^n are kept in reduced row-echelon form, which
 makes equality a plain tuple comparison and gives a canonical
 enumeration order.
+
+Elimination (RREF, rank, membership) runs on packed rows in
+characteristic 2: a row over GF(2^e) is one int with entry t in bits
+[e t, e t + e), the codec of :func:`gfield.digits` and so of ambient
+indices, and adding rows is XOR.  Odd p eliminates rows of element codes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .gfield import FieldSpec, undigits
+from .gfield import FieldSpec, digits, undigits
 
 
 class Mat:
@@ -94,6 +99,8 @@ class Mat:
         return Mat._of(F, self.k, self.m, tuple([F.neg(a) for a in self.entries]))
 
     def scale(self, c: int) -> "Mat":
+        if c == 1:
+            return self
         F = self.field
         return Mat._of(F, self.k, self.m,
                        tuple([F.mul(c, a) for a in self.entries]))
@@ -141,27 +148,46 @@ class Subspace:
 
     def __init__(self, field: FieldSpec, ambient: int,
                  basis: Sequence[Sequence[int]]):
-        rows, pivots = _rref_rows(field, [list(r) for r in basis])
+        rows = [tuple(r) for r in basis]
+        codes = set().union(*rows)
+        if (any(len(r) != ambient for r in rows) or min(codes, default=0) < 0
+                or max(codes, default=0) >= field.q):
+            raise ValueError(f"rows of a subspace of GF({field.q})^{ambient} "
+                             f"need {ambient} element codes in [0, {field.q})")
+        rows, pivots = _rref_rows(field, rows)
         self.field = field
         self.ambient = ambient
         self.basis = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
 
     @classmethod
+    def _of(cls, field: FieldSpec, ambient: int, basis: Iterable[Sequence[int]],
+            pivots: Iterable[int]) -> "Subspace":
+        """A subspace whose rows are an RREF basis with the given pivots by
+        construction: no checks, no elimination."""
+        S = object.__new__(cls)
+        S.field, S.ambient = field, ambient
+        S.basis, S.pivots = tuple(map(tuple, basis)), tuple(pivots)
+        return S
+
+    @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        return cls(field, ambient, [])
+        return cls._of(field, ambient, (), ())
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        rows = [[1 if j == i else 0 for j in range(ambient)] for i in range(ambient)]
-        return cls(field, ambient, rows)
+        rows = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+        return cls._of(field, ambient, rows, range(ambient))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return _reduce_against(self.field, list(vec), self.basis, self.pivots)
+        """vec adds nothing to the rank of the basis rows."""
+        rows = self.basis + (tuple(vec),)
+        return rank(Mat._of(self.field, len(rows), self.ambient,
+                            tuple(itertools.chain(*rows)))) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
@@ -184,9 +210,10 @@ class Subspace:
         """The vectors whose first h coordinates vanish, those coordinates
         dropped: the tails of the RREF rows whose pivot is at h or
         beyond, which are already in RREF."""
-        return Subspace(self.field, self.ambient - h,
-                        [r[h:] for r, p in zip(self.basis, self.pivots)
-                         if p >= h])
+        kept = [(r[h:], p - h) for r, p in zip(self.basis, self.pivots)
+                if p >= h]
+        return Subspace._of(self.field, self.ambient - h,
+                            [r for r, _ in kept], [p for _, p in kept])
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
         """All q^dim vectors of the subspace."""
@@ -211,100 +238,101 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
 
 
-def _rref_rows(field: FieldSpec, rows: List[List[int]]):
-    """In-place RREF; returns (nonzero rows, pivot columns).
-
-    Pivoting is deterministic: leftmost nonzero column, first nonzero row.
-    """
+def _rref_rows(field: FieldSpec, rows: Sequence[Sequence[int]]):
+    """RREF of rows of element codes, all of one length: (nonzero rows,
+    pivot columns).  The echelon rows, packed in characteristic 2, then
+    back-substitution from the rightmost pivot."""
     if not rows:
         return [], []
-    n = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][col])
-        if inv != 1:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(c, y))
-                           for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _reduce_against(field: FieldSpec, vec: List[int],
-                    basis: Sequence[Sequence[int]],
-                    pivots: Sequence[int]) -> bool:
-    """Reduce vec against an RREF basis; True iff it reduces to zero."""
-    for row, p in zip(basis, pivots):
-        c = vec[p]
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    vec[j] = field.sub(vec[j], field.mul(c, x))
-    return all(x == 0 for x in vec)
+    n, q, e = len(rows[0]), field.q, field.e
+    if field.p != 2:
+        basis = _echelon_digits(field, rows)
+        pivots = sorted(basis)
+        mul, sub = field.mul, field.sub
+        for i in reversed(range(len(pivots))):
+            t, b = pivots[i], basis[pivots[i]]
+            for s in pivots[:i]:
+                c = basis[s][t]
+                if c:
+                    basis[s] = [sub(x, mul(c, y)) for x, y in zip(basis[s], b)]
+        return [basis[t] for t in pivots], pivots
+    ones = ((1 << e * n) - 1) // (q - 1)
+    basis = _echelon(field, n, [undigits(r, q) for r in rows])
+    pivots = sorted(basis)
+    for i in reversed(range(len(pivots))):
+        t, b = pivots[i], basis[pivots[i]]
+        for s in pivots[:i]:
+            c = basis[s] >> e * t & q - 1
+            if c:
+                basis[s] ^= b if c == 1 else _scaled(field, ones, c, b)
+    return [digits(basis[t], q, n) for t in pivots], pivots
 
 
 def rref(M: Mat) -> Mat:
-    rows, _ = _rref_rows(M.field, [list(r) for r in M.rows()])
+    rows, _ = _rref_rows(M.field, M.rows())
     rows += [[0] * M.m for _ in range(M.k - len(rows))]
     return Mat.from_rows(M.field, rows)
 
 
 def rank(M: Mat) -> int:
-    if M.field.q == 2:
-        # bit t of the packed matrix is entry t; row i is bits [im, im + m)
-        m = M.m
-        bits = undigits(M.entries, 2)
-        mask = (1 << m) - 1
-        return _rank_gf2([(bits >> (i * m)) & mask for i in range(M.k)])
-    return _rank_rows(M.field, M.rows())
+    if M.field.p == 2:
+        return _rank_packed(M.field, M.k, M.m, undigits(M.entries, M.field.q))
+    return len(_echelon_digits(M.field, M.rows()))
 
 
-def _rank_rows(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
-    """Rank of rows of element codes, by forward elimination against the
-    rows kept so far, each scaled to a leading 1.  ``field.mul`` and
-    ``field.inv`` read the field's tables up to order 1024."""
+def _rank_packed(field: FieldSpec, k: int, m: int, idx: int) -> int:
+    """Rank of the k x m matrix over GF(2^e) with ambient index idx: its
+    packed rows are the index's slices of e m bits."""
+    w = field.e * m
+    rows = [idx >> s & (1 << w) - 1 for s in range(0, k * w, w)]
+    return len(_echelon(field, m, rows))
+
+
+def _echelon_digits(field: FieldSpec,
+                    rows: Iterable[Sequence[int]]) -> Dict[int, List[int]]:
+    """:func:`_echelon` on rows of element codes, for odd p."""
     mul, inv, sub = field.mul, field.inv, field.sub
-    basis = {}  # pivot column -> kept row
+    basis = {}
     for v in rows:
         for t in range(len(v)):
             c = v[t]
             if c:
                 b = basis.get(t)
                 if b is None:
-                    c = inv(c)
-                    basis[t] = [mul(c, x) for x in v]
+                    basis[t] = v if c == 1 else [mul(inv(c), x) for x in v]
                     break
                 v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
-    return len(basis)
+    return basis
 
 
-def _rank_gf2(rows: List[int]) -> int:
-    """Rank of bit-packed GF(2) rows: the q = 2 case of :func:`_rank_rows`."""
-    basis = {}  # pivot bit -> reduced row
+def _scaled(field: FieldSpec, ones: int, c: int, v: int) -> int:
+    """c times the packed row v: one product per bit s of an entry, the
+    bits s of v's entries times c x^s, and no carry crosses entries."""
+    out = 0
+    for s in range(field.e):
+        out ^= (v >> s & ones) * field.mul(c, 1 << s)
+    return out
+
+
+def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> Dict[int, int]:
+    """Forward elimination of packed rows of n entries over GF(2^e):
+    {pivot column: row}, each row 1 at its pivot and 0 before it.  The
+    leftmost nonzero entry of a packed row holds its lowest set bit, and
+    adding rows is XOR."""
+    e, mask = field.e, field.q - 1
+    ones = ((1 << e * n) - 1) // mask  # bit e t for every entry t
+    basis = {}
     for v in rows:
         while v:
-            low = v & -v
-            if low in basis:
-                v ^= basis[low]
-            else:
-                basis[low] = v
+            t = ((v & -v).bit_length() - 1) // e
+            c = v >> e * t & mask
+            b = basis.get(t)
+            if b is None:
+                basis[t] = v if c == 1 else _scaled(field, ones,
+                                                    field.inv(c), v)
                 break
-    return len(basis)
+            v ^= b if c == 1 else _scaled(field, ones, c, b)
+    return basis
 
 
 def kernel(M: Mat) -> Subspace:
@@ -385,4 +413,4 @@ def enumerate_subspaces(field: FieldSpec, n: int, u: int) -> Iterator[Subspace]:
                 rows[i][p] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield Subspace(field, n, rows)
+            yield Subspace._of(field, n, rows, pivots)

@@ -29,8 +29,8 @@ def unused_imports(tree: ast.Module):
                   if name not in used)
 
 
-# (importing module, name): the rank kernels ambient shares with matlin
-PRIVATE_ALLOWED = {("ambient", "_rank_gf2"), ("ambient", "_rank_rows")}
+# (importing module, name): the rank kernel ambient shares with matlin
+PRIVATE_ALLOWED = {("ambient", "_rank_packed")}
 
 
 def private_imports(tree: ast.Module):

@@ -25,6 +25,18 @@ def test_public_constructors_reject_entries_outside_the_field():
             Mat.from_rows(F, [[0, 1], [0, bad]])
 
 
+def test_subspace_rejects_malformed_rows():
+    F9 = make_field(3, 2)
+    for F, n, rows in ((F2, 5, [[1, 0, 1]]),  # too short
+                       (F2, 3, [[1, 0, 7]]), (F2, 3, [[1, 0, 1], [0, 2, 0]]),
+                       (F2, 2, [[1, 0], [1, 0, 1]]),  # one row too long
+                       (F4, 2, [[4, 0]]), (F4, 2, [[0, -1]]),
+                       (F3, 2, [[3, 1]]), (F9, 1, [[9]])):
+        with pytest.raises(ValueError, match="element codes"):
+            Subspace(F, n, rows)
+    assert Subspace(F4, 2, [[3, 0], [0, 0]]).basis == ((1, 0),)
+
+
 def test_derived_matrices_pass_the_entry_check():
     rng = random.Random(3)
     for F in (F2, F3, F4):

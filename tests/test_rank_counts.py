@@ -109,6 +109,35 @@ def test_every_lane_builder_crosses_a_chunk_boundary(monkeypatch):
         == per_word_counts(F, k, m, pairs)
 
 
+def pair_lanes_by_strings(words, nbits):
+    """pair_lanes on binary strings: per block of rows, plane b's string
+    repeated once per row XOR the block's row bits spread over n lanes."""
+    n = len(words)
+    rows = [format(x, f"0{nbits}b") for x in reversed(words)]
+    strings = ["".join(col) for col in reversed(list(zip(*rows)))]
+    spread = {ord("0"): "0" * n, ord("1"): "1" * n}
+    per_block = max(1, (1 << ambient.LANE_BITS) // n)
+    for i in range(0, n, per_block):
+        r = min(per_block, n - i)
+        yield [int(s * r, 2) ^ int(s[n - i - r:n - i].translate(spread), 2)
+               for s in strings], r * n
+
+
+@pytest.mark.parametrize("lane_bits", (3, 5, 8, 16))
+def test_pair_lanes_match_the_string_version(monkeypatch, lane_bits):
+    monkeypatch.setattr(ambient, "LANE_BITS", lane_bits)
+    rng = random.Random(lane_bits)
+    for n, nbits in ((1, 4), (2, 3), (3, 12), (10, 9), (45, 12), (64, 25),
+                     (300, 20)):
+        words = rng.sample(range(1 << nbits), n)
+        chunks = list(pair_lanes(words, nbits))
+        assert chunks == list(pair_lanes_by_strings(words, nbits))
+        if n > 1 << lane_bits:
+            assert len(chunks) == n  # one row a chunk
+        elif n > 2 and (1 << lane_bits) // n < n:
+            assert chunks[0][1] < n * n  # a boundary falls inside the set
+
+
 def test_a_chunk_boundary_at_full_size():
     F = field_from_order(2)
     k, m = 4, 5
