@@ -149,11 +149,7 @@ class Subspace:
     def __init__(self, field: FieldSpec, ambient: int,
                  basis: Sequence[Sequence[int]]):
         rows = [tuple(r) for r in basis]
-        codes = set().union(*rows)
-        if (any(len(r) != ambient for r in rows) or min(codes, default=0) < 0
-                or max(codes, default=0) >= field.q):
-            raise ValueError(f"rows of a subspace of GF({field.q})^{ambient} "
-                             f"need {ambient} element codes in [0, {field.q})")
+        _check_rows(field, ambient, rows)
         rows, pivots = _rref_rows(field, rows)
         self.field = field
         self.ambient = ambient
@@ -186,6 +182,7 @@ class Subspace:
     def contains(self, vec: Sequence[int]) -> bool:
         """vec adds nothing to the rank of the basis rows."""
         rows = self.basis + (tuple(vec),)
+        _check_rows(self.field, self.ambient, rows[-1:])
         return rank(Mat._of(self.field, len(rows), self.ambient,
                             tuple(itertools.chain(*rows)))) == self.dim
 
@@ -236,6 +233,16 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
+
+
+def _check_rows(field: FieldSpec, n: int, rows: List[Tuple[int, ...]]) -> None:
+    """Raise ValueError unless every row holds n element codes in [0, q):
+    a packed row has no room for a longer row or a larger code."""
+    codes = set().union(*rows)
+    if (any(len(r) != n for r in rows) or min(codes, default=0) < 0
+            or max(codes, default=0) >= field.q):
+        raise ValueError(f"vectors of GF({field.q})^{n} need {n} element "
+                         f"codes in [0, {field.q})")
 
 
 def _rref_rows(field: FieldSpec, rows: Sequence[Sequence[int]]):

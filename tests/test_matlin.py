@@ -34,6 +34,8 @@ def test_subspace_rejects_malformed_rows():
                        (F3, 2, [[3, 1]]), (F9, 1, [[9]])):
         with pytest.raises(ValueError, match="element codes"):
             Subspace(F, n, rows)
+        with pytest.raises(ValueError, match="element codes"):
+            Subspace(F, n, []).contains(rows[-1])
     assert Subspace(F4, 2, [[3, 0], [0, 0]]).basis == ((1, 0),)
 
 
