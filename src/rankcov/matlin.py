@@ -235,7 +235,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
 
 
-def _check_rows(field: FieldSpec, n: int, rows: List[Tuple[int, ...]]) -> None:
+def _check_rows(field: FieldSpec, n: int, rows: Sequence[Sequence[int]]) -> None:
     """Raise ValueError unless every row holds n element codes in [0, q):
     a packed row has no room for a longer row or a larger code."""
     codes = set().union(*rows)
