@@ -4,10 +4,10 @@ A matrix is indexed by the little-endian base-q number whose digit t is
 the t-th row-major entry (the :func:`gfield.digits` codec).  In
 characteristic 2 an element code is the element's GF(2) coordinate
 vector, so matrix addition is XOR of indices.  The packing never leaks
-into serialization.  :func:`rank_of_index` row-reduces one matrix, and
-in characteristic 2 :func:`rank_counts` ranks a whole pass of matrices
-at once, one bit per matrix; the codeword passes in :mod:`codes` use
-them.
+into serialization.  In characteristic 2 :func:`rank_counts` ranks a
+whole pass of matrices at once, one bit per matrix; the codeword passes
+in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks one
+matrix from its index.
 
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
@@ -18,11 +18,11 @@ rank off the balls around {0}.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .gfield import FieldSpec, digits, undigits
-from .matlin import Mat, _rank_packed, rank
+from .matlin import Mat
 
 
 def mat_index(M: Mat) -> int:
@@ -31,17 +31,6 @@ def mat_index(M: Mat) -> int:
 
 def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
     return Mat._of(field, k, m, digits(idx, field.q, k * m))
-
-
-def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
-    """The rank of a k x m matrix as a function of its index.
-
-    Each call eliminates the matrix's rows: packed rows in characteristic
-    2, rows of digits otherwise.  Nothing of size q^(km) is built or read.
-    """
-    if field.p == 2:
-        return partial(_rank_packed, field, k, m)
-    return lambda idx: rank(index_to_mat(field, k, m, idx))
 
 
 # -- bit-sliced ranks in characteristic 2 --

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from . import covering
 from .ambient import index_to_mat
-from .codes import ENUM_GUARD, GuardExceeded, RankCode
+from .codes import GuardExceeded, RankCode, check_guard
 from .gfield import digits, field_from_order
 from .matlin import Mat, Subspace, rank, random_invertible
 
@@ -193,10 +193,9 @@ def _cmd_cosets(args) -> int:
     if not C.linear:
         print("full coset tables require a linear code", file=sys.stderr)
         return EXIT_PARSE
-    if N > ENUM_GUARD and not args.force:
-        print(f"coset table over {N} matrices exceeds the guard; use --force",
-              file=sys.stderr)
-        return EXIT_GUARD
+    if not args.force:
+        check_guard(N, "coset table over {count} matrices exceeds the guard; "
+                    "use --force")
     # a coset's least index is its one member that is zero at the pivots
     # of the basis echelonized from the top digit
     n, q = C.k * C.m, C.field.q

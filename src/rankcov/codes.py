@@ -4,7 +4,8 @@ A RankCode is either linear (its span: the RREF Subspace of F_q^(km)
 spanned by the vectorized generators) or an explicit sorted set of
 codewords.  The echelon form makes equality a tuple comparison, gives
 membership and the initial set through its pivots, and its orthogonal
-complement is the dual.
+complement is the dual.  Every exhaustive count passes
+:func:`check_guard`, the one reader of the work guard ENUM_GUARD.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
-                      rank_of_index, span_lanes, word_lanes)
+                      span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index
-from .matlin import Mat, Subspace
+from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
@@ -23,6 +24,13 @@ ENUM_GUARD = 1 << 24
 
 class GuardExceeded(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the work guard."""
+
+
+def check_guard(count: int, message: str) -> None:
+    """Refuse work of ``count`` items above ENUM_GUARD, read here at call
+    time; the message may name {count} and {guard}."""
+    if count > ENUM_GUARD:
+        raise GuardExceeded(message.format(count=count, guard=ENUM_GUARD))
 
 
 class RankCode:
@@ -101,15 +109,13 @@ class RankCode:
     def is_full_space(self) -> bool:
         return self.linear and len(self.basis) == self.k * self.m
 
-    def word_indices(self, guard: int = ENUM_GUARD) -> List[int]:
+    def word_indices(self) -> List[int]:
         """The ambient index of every codeword.  A linear code is expanded
         basis by basis, so words[q^j : 2q^j] are the words whose last
         nonzero basis coefficient is 1."""
         if not self.linear:
             return [mat_index(M) for M in self.words]
-        if self.cardinality() > guard:
-            raise GuardExceeded(
-                f"code has {self.cardinality()} words, guard is {guard}")
+        check_guard(self.cardinality(), "code has {count} words, guard is {guard}")
         F = self.field
         words = [0]
         for B in self.basis:
@@ -120,12 +126,12 @@ class RankCode:
                 words += [add_index(F, w, s) for s in scaled for w in words]
         return words
 
-    def codewords(self, guard: int = ENUM_GUARD) -> Iterator[Mat]:
+    def codewords(self) -> Iterator[Mat]:
         """All codewords, in the order of :meth:`word_indices`."""
         if not self.linear:
             yield from self.words
             return
-        for idx in self.word_indices(guard):
+        for idx in self.word_indices():
             yield index_to_mat(self.field, self.k, self.m, idx)
 
     def contains(self, X: Mat) -> bool:
@@ -144,24 +150,23 @@ class RankCode:
 
     # -- metric invariants --
 
-    def min_distance(self, guard: int = ENUM_GUARD) -> int:
+    def min_distance(self) -> int:
         if self._min_distance is not None:
             return self._min_distance
         if self.cardinality() < 2:
             raise ValueError("minimum distance needs at least two codewords")
         if self.linear:
-            W = self.weight_distribution(guard)
+            W = self.weight_distribution()
             d = next(i for i in range(1, self.k + 1) if W[i])
         else:
             n = len(self.words)
-            if n * (n - 1) // 2 > guard:
-                raise GuardExceeded("too many codeword pairs")
+            check_guard(n * (n - 1) // 2, "too many codeword pairs")
             P = self._pairs()
             d = next(i for i in range(1, self.k + 1) if P[i])
         self._min_distance = d
         return d
 
-    def weight_distribution(self, guard: int = ENUM_GUARD) -> List[int]:
+    def weight_distribution(self) -> List[int]:
         """W_i = number of codewords of rank i.
 
         A linear code fills in both itself and its dual.  Unless one side
@@ -175,15 +180,14 @@ class RankCode:
         if self._weight_distribution is not None:
             return list(self._weight_distribution)
         if not self.linear:
-            self._weight_distribution = tuple(self._enumerated_weights(guard))
+            self._weight_distribution = tuple(self._enumerated_weights())
             return list(self._weight_distribution)
         D = self.dual()
         if D._weight_distribution is None:
             small = D if D.cardinality() < self.cardinality() else self
-            if small.cardinality() > guard:
-                raise GuardExceeded(f"code has {self.cardinality()} words, "
-                                    f"guard is {guard}")
-            small._weight_distribution = tuple(small._enumerated_weights(guard))
+            check_guard(small.cardinality(),
+                        f"code has {self.cardinality()} words, guard is {{guard}}")
+            small._weight_distribution = tuple(small._enumerated_weights())
         known, other = ((self, D) if self._weight_distribution is not None
                         else (D, self))
         other._weight_distribution = tuple(dual_weight_distribution(
@@ -191,7 +195,7 @@ class RankCode:
             build_table(self.k, self.m, self.field.q)))
         return list(self._weight_distribution)
 
-    def _enumerated_weights(self, guard: int) -> List[int]:
+    def _enumerated_weights(self) -> List[int]:
         F = self.field
         if F.p == 2:
             nbits = self.k * self.m * F.e
@@ -200,7 +204,7 @@ class RankCode:
                     [mat_index(B.scale(1 << s))
                      for B in self.basis for s in range(F.e)], nbits))
             return self._rank_counts(word_lanes(self.word_indices(), nbits))
-        words = self.word_indices(guard)
+        words = self.word_indices()
         rank = rank_of_index(self.field, self.k, self.m)
         W = [0] * (self.k + 1)
         if self.linear:
@@ -245,24 +249,23 @@ class RankCode:
                 W[r] += c
         return W
 
-    def distance_counts(self, guard: int = ENUM_GUARD) -> List[int]:
+    def distance_counts(self) -> List[int]:
         """|C| B_i: the ordered pairs of codewords at distance i, equal
         pairs counted at i = 0; |C| W for a linear code."""
         if self.linear:
             n = self.cardinality()
-            return [n * w for w in self.weight_distribution(guard)]
+            return [n * w for w in self.weight_distribution()]
         n = len(self.words)
-        if n * n > guard:
-            raise GuardExceeded("too many codeword pairs")
+        check_guard(n * n, "too many codeword pairs")
         P = list(self._pairs())
         P[0] = n
         return P
 
-    def distance_distribution(self, guard: int = ENUM_GUARD) -> List["Fraction"]:
+    def distance_distribution(self) -> List["Fraction"]:
         """B_i = (ordered pairs at distance i) / |C|; equals W for linear codes."""
         from fractions import Fraction
         n = self.cardinality()
-        return [Fraction(x, n) for x in self.distance_counts(guard)]
+        return [Fraction(x, n) for x in self.distance_counts()]
 
     # -- duality and sections --
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .ambient import mat_index, rank_of_index, rank_table
-from .codes import ENUM_GUARD, GuardExceeded, RankCode
+from .ambient import mat_index, rank_table
+from .codes import RankCode, check_guard
 from .covering import external_support
 from .gfield import add_index
-from .matlin import Mat, Subspace
-from .qcomb import KrawtchoukTable, build_table, gaussian_binomial
+from .matlin import Mat, Subspace, rank_of_index
+from .qcomb import build_table, gaussian_binomial, subspace_moebius
 
 # coset_profile reads ranks from the cached q^(km)-byte rank table up to
 # this ambient size and row-reduces M + X per codeword above it
@@ -32,29 +32,26 @@ class CosetProfile:
     minweight: int
 
 
-def coset_profile(C: RankCode, X: Mat, guard: int = ENUM_GUARD) -> CosetProfile:
+def coset_profile(C: RankCode, X: Mat) -> CosetProfile:
     """Exact weight distribution of the translate C+X by enumeration."""
     if X.field != C.field or (X.k, X.m) != (C.k, C.m):
         raise ValueError("translate matrix dimension/field mismatch")
-    W = translate_weights(C, [mat_index(X)], guard)[0]
+    W = translate_weights(C, [mat_index(X)])[0]
     minweight = next(i for i, w in enumerate(W) if w)
     return CosetProfile(C, X, tuple(W), minweight)
 
 
-def translate_weights(C: RankCode, xs: Sequence[int],
-                      guard: int = ENUM_GUARD) -> List[List[int]]:
+def translate_weights(C: RankCode, xs: Sequence[int]) -> List[List[int]]:
     """The weight distribution of C+X for each X indexed by xs, with the
     code expanded once for all of them."""
-    if C.cardinality() > guard:
-        raise GuardExceeded(
-            f"coset enumeration over {C.cardinality()} codewords exceeds "
-            f"the guard {guard}")
+    check_guard(C.cardinality(), "coset enumeration over {count} codewords "
+                "exceeds the guard {guard}")
     F, n = C.field, C.k * C.m
     if F.q ** n <= TABLE_CAP:
         rank = rank_table(F, C.k, C.m).__getitem__
     else:
         rank = rank_of_index(F, C.k, C.m)
-    words = C.word_indices(guard)
+    words = C.word_indices()
     out = []
     for x in xs:
         W = [0] * (C.k + 1)
@@ -99,9 +96,7 @@ def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,
     for i in range(k - d_perp + 1, k + 1):
         acc = 0
         for u in range(i + 1):
-            d = i - u
-            sign = -1 if d % 2 else 1
-            acc += (sign * q ** (d * (d - 1) // 2)
+            acc += (subspace_moebius(u, i, q)
                     * gaussian_binomial(k - u, i - u, q) * T[u])
         w, r = divmod(acc, Q)
         if r:
@@ -148,9 +143,8 @@ class AnnihilatorPoly:
         return value
 
 
-def annihilator(C: RankCode, table: Optional[KrawtchoukTable] = None) -> AnnihilatorPoly:
-    if table is None:
-        table = build_table(C.k, C.m, C.field.q)
+def annihilator(C: RankCode) -> AnnihilatorPoly:
+    table = build_table(C.k, C.m, C.field.q)
     q, k, m = C.field.q, C.k, C.m
     roots = external_support(C)
     sigma = len(roots)
@@ -167,14 +161,12 @@ def annihilator(C: RankCode, table: Optional[KrawtchoukTable] = None) -> Annihil
     return replace(poly, coeffs=tuple(coeffs[: sigma + 1]))
 
 
-def verify_annihilator(C: RankCode, X: Mat,
-                       poly: Optional[AnnihilatorPoly] = None) -> Fraction:
+def verify_annihilator(C: RankCode, X: Mat) -> Fraction:
     """The invariant sum over the translate's weight distribution.
 
     Returns sum_{j=0}^{sigma*} alpha_j W_j(C+X), which equals 1 for
     every X.  The j = 0 term matters only when X is a codeword.
     """
-    if poly is None:
-        poly = annihilator(C)
+    poly = annihilator(C)
     W = coset_profile(C, X).W
     return sum(poly.coeffs[j] * W[j] for j in range(poly.sigma_star + 1))

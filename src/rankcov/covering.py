@@ -11,27 +11,26 @@ from types import SimpleNamespace
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .ambient import rank_balls
-from .codes import ENUM_GUARD, GuardExceeded, RankCode
+from .codes import GuardExceeded, RankCode, check_guard
 from .qcomb import build_table, krawtchouk_sums
 
 
-def covering_radius_exact(C: RankCode, *, guard: int = ENUM_GUARD,
-                          force: bool = False,
+def covering_radius_exact(C: RankCode, *, force: bool = False,
                           upper_bound: Optional[int] = None) -> int:
     """max over ambient X of min over codewords M of rank(X - M): the
     radius of the first rank-distance ball around C that is the whole
     space.  The guard on q^(km) bounds the balls' bits as well as the
-    search.  With an upper bound u, a ball of radius u - 1 that is not
-    full proves rho = u."""
-    N = C.field.q ** (C.k * C.m)
+    search; force lifts it, but not the guard on the code's words, the
+    balls' centres.  With an upper bound u, a ball of radius u - 1 that
+    is not full proves rho = u."""
     if C.is_full_space():
         return 0
-    if N > guard and not force:
-        raise GuardExceeded(
-            f"ambient scan over {N} matrices exceeds the guard {guard}; "
-            "pass force=True to run it anyway")
+    if not force:
+        check_guard(C.field.q ** (C.k * C.m),
+                    "ambient scan over {count} matrices exceeds the guard "
+                    "{guard}; pass force=True to run it anyway")
     rho = 0
-    for _ in rank_balls(C.field, C.k, C.m, C.word_indices(guard=max(guard, N))):
+    for _ in rank_balls(C.field, C.k, C.m, C.word_indices()):
         rho += 1
         if rho == upper_bound:
             break
@@ -179,9 +178,8 @@ class BoundsReport(SimpleNamespace):
                             self.bound_dqmrd) if b is not None]
 
 
-def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
-                  force: bool = False) -> BoundsReport:
-    """Every applicable bound plus, when within the guard, exact rho.
+def bounds_report(C: RankCode, *, force: bool = False) -> BoundsReport:
+    """Every applicable bound plus, unless the search is refused, exact rho.
 
     When the packing lower bound meets the least upper bound, that value
     is rho, with no ball search and so whatever the guard.
@@ -191,7 +189,7 @@ def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
                        dim=C.dim if C.linear else None)
     full = C.is_full_space()
     if C.cardinality() >= 2:
-        rep.min_distance = C.min_distance(guard=guard)
+        rep.min_distance = C.min_distance()
         if not full:
             rep.packing_lower = (rep.min_distance + 1) // 2
     if C.linear and not full:
@@ -208,15 +206,18 @@ def bounds_report(C: RankCode, *, guard: int = ENUM_GUARD,
         rep.is_dually_qmrd = C.is_dually_QMRD()
         if rep.is_dually_qmrd:
             rep.bound_dqmrd = rep.min_distance
-    N = C.field.q ** (C.k * C.m)
     ub = min(rep.upper_bounds(), default=None)
     if full:
         rep.rho_exact = 0
     elif ub is not None and ub == rep.packing_lower:
         rep.rho_exact = ub  # lower = upper: the bounds decide rho
-    elif N <= guard or force:
-        rep.rho_exact = covering_radius_exact(C, guard=guard, force=force,
-                                              upper_bound=ub)
+    else:
+        try:
+            rep.rho_exact = covering_radius_exact(C, force=force,
+                                                  upper_bound=ub)
+        except GuardExceeded:  # unforced, only the ambient guard refuses
+            if force:
+                raise
     if rep.rho_exact is not None:
         rep.maximal = is_maximal(C, rep.rho_exact)
         if C.cardinality() >= 2:

@@ -9,13 +9,15 @@ Elimination (RREF, rank, membership) runs on packed rows in
 characteristic 2: a row over GF(2^e) is one int with entry t in bits
 [e t, e t + e), the codec of :func:`gfield.digits` and so of ambient
 indices, and adding rows is XOR.  Odd p eliminates rows of element codes.
+:func:`rank_of_index` ranks a k x m matrix from its ambient index.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .gfield import FieldSpec, digits, undigits
 
@@ -285,6 +287,17 @@ def rank(M: Mat) -> int:
     if M.field.p == 2:
         return _rank_packed(M.field, M.k, M.m, undigits(M.entries, M.field.q))
     return len(_echelon_digits(M.field, M.rows()))
+
+
+def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
+    """The rank of a k x m matrix as a function of its ambient index.
+
+    Each call eliminates the matrix's rows: packed rows in characteristic
+    2, rows of digits otherwise.  Nothing of size q^(km) is built or read.
+    """
+    if field.p == 2:
+        return partial(_rank_packed, field, k, m)
+    return lambda idx: rank(Mat._of(field, k, m, digits(idx, field.q, k * m)))
 
 
 def _rank_packed(field: FieldSpec, k: int, m: int, idx: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat, enumerate_subspaces, random_matrix, rank
+from rankcov import codes
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_linear_code
 from rankcov.cosets import (annihilator, coset_profile, high_dim_section_count,
@@ -54,12 +55,14 @@ def test_coset_profile_dimension_mismatch():
         coset_profile(example_3x3(), Mat.zero(F2, 2, 3))
 
 
-def test_coset_profile_guard_raises_guard_exceeded():
+def test_coset_profile_guard_raises_guard_exceeded(monkeypatch):
     C = example_3x3()  # 16 codewords
     X = Mat.zero(F2, 3, 3)
+    monkeypatch.setattr(codes, "ENUM_GUARD", 8)
     with pytest.raises(GuardExceeded):
-        coset_profile(C, X, guard=8)
-    assert coset_profile(C, X, guard=16).W == tuple(C.weight_distribution())
+        coset_profile(C, X)
+    monkeypatch.setattr(codes, "ENUM_GUARD", 16)
+    assert coset_profile(C, X).W == tuple(C.weight_distribution())
 
 
 def test_coset_profile_above_table_cap_builds_no_table(monkeypatch):
@@ -215,10 +218,9 @@ def test_annihilator_identity_on_translates():
     rng = random.Random(46)
     for _ in range(10):
         C = random_linear_code(F2, 2, 3, rng.randrange(1, 6), rng)
-        poly = annihilator(C)
         for _ in range(10):
             X = random_matrix(F2, 2, 3, rng)
-            assert verify_annihilator(C, X, poly) == 1
+            assert verify_annihilator(C, X) == 1
 
 
 def test_annihilator_identity_needs_j0_for_codewords():
@@ -226,7 +228,7 @@ def test_annihilator_identity_needs_j0_for_codewords():
     C = RankCode.zero_code(F2, 1, 1)
     poly = annihilator(C)
     X = Mat.zero(F2, 1, 1)
-    full = verify_annihilator(C, X, poly)
+    full = verify_annihilator(C, X)
     assert full == 1
     W = coset_profile(C, X).W
     truncated = sum(poly.coeffs[j] * W[j]

@@ -5,6 +5,7 @@ import pytest
 
 from rankcov.gfield import make_field
 from rankcov.matlin import Mat, random_matrix, rank
+from rankcov import codes
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import gabidulin, random_code, random_linear_code
 from rankcov.covering import (LinePattern, bound_dual_distance,
@@ -90,11 +91,12 @@ def test_rho_upper_bound_early_exit_is_exact():
     assert covering_radius_exact(C, upper_bound=2) == 2
 
 
-def test_rho_guard_and_force():
+def test_rho_guard_and_force(monkeypatch):
     C = RankCode.zero_code(F2, 2, 2)
+    monkeypatch.setattr(codes, "ENUM_GUARD", 1)
     with pytest.raises(GuardExceeded):
-        covering_radius_exact(C, guard=1)
-    assert covering_radius_exact(C, guard=1, force=True) == 2
+        covering_radius_exact(C)
+    assert covering_radius_exact(C, force=True) == 2
 
 
 def test_rho_monotone_under_inclusion():
@@ -272,9 +274,10 @@ def test_bounds_report_mrd_and_dqmrd():
     assert rep2.rho_exact == 3 and rep2.maximality_degree == 1
 
 
-def test_bounds_report_respects_guard():
+def test_bounds_report_respects_guard(monkeypatch):
     # guard admits the 16 codewords but not the 512-matrix ambient scan
-    rep = bounds_report(example_3x3(), guard=100)
+    monkeypatch.setattr(codes, "ENUM_GUARD", 100)
+    rep = bounds_report(example_3x3())
     assert rep.rho_exact is None
     assert rep.bound_dual_distance == 3
 

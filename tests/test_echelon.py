@@ -14,9 +14,10 @@ import random
 
 import pytest
 
-from rankcov.ambient import mat_index, rank_counts, rank_of_index
+from rankcov.ambient import mat_index, rank_counts
 from rankcov.gfield import field_from_order
-from rankcov.matlin import Mat, Subspace, _rref_rows, random_matrix, rank
+from rankcov.matlin import (Mat, Subspace, _rref_rows, random_matrix, rank,
+                           rank_of_index)
 
 FIELDS = (2, 4, 8, 16, 256, 2048)  # GF(2048) has no tables: F.mul computes
 

@@ -1,7 +1,7 @@
 """The index-native codeword pass against the Mat path.
 
 Codewords are enumerated as ambient indices and their ranks read from
-``ambient.rank_of_index`` or, in characteristic 2, counted lane-parallel
+``matlin.rank_of_index`` or, in characteristic 2, counted lane-parallel
 by ``ambient.rank_counts``; here every result is compared with the same
 quantity computed on ``Mat`` objects: the span expanded by matrix
 addition, and ranks from ``matlin.rank`` and from the RREF pivot count.
@@ -13,12 +13,12 @@ import random
 import pytest
 
 from rankcov import codes
-from rankcov.ambient import index_to_mat, mat_index, rank_counts, rank_of_index
+from rankcov.ambient import index_to_mat, mat_index, rank_counts
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.covering import external_distance
 from rankcov.gfield import field_from_order
-from rankcov.matlin import Mat, _rref_rows, rank
+from rankcov.matlin import Mat, _rref_rows, rank, rank_of_index
 from rankcov.qcomb import (build_table, dual_weight_distribution,
                            rank_sphere_size)
 
@@ -144,13 +144,16 @@ def test_set_invariants_share_one_pair_pass(monkeypatch):
     assert len(calls) == 9 * 8 // 2
 
 
-def test_set_pair_guards_keep_their_own_counts():
+def test_set_pair_guards_keep_their_own_counts(monkeypatch):
     C = random_code(field_from_order(2), 2, 3, 6, 1)
+    monkeypatch.setattr(codes, "ENUM_GUARD", 35)
     with pytest.raises(GuardExceeded, match="too many codeword pairs"):
-        C.distance_distribution(guard=35)  # 36 ordered pairs
-    assert C.min_distance(guard=15) >= 1  # 15 unordered pairs
+        C.distance_distribution()  # 36 ordered pairs
+    monkeypatch.setattr(codes, "ENUM_GUARD", 15)
+    assert C.min_distance() >= 1  # 15 unordered pairs
+    monkeypatch.setattr(codes, "ENUM_GUARD", 35)
     with pytest.raises(GuardExceeded, match="too many codeword pairs"):
-        C.distance_distribution(guard=35)
+        C.distance_distribution()
 
 
 def test_dual_is_computed_once():
@@ -279,15 +282,17 @@ def test_a_dual_that_knows_its_distribution_is_not_re_enumerated(monkeypatch):
         assert counts == [16, 0]  # the 16 lanes of the 16-word C
 
 
-def test_guard_counts_the_enumerated_side():
+def test_guard_counts_the_enumerated_side(monkeypatch):
     F = field_from_order(2)
     C = random_linear_code(F, 3, 4, 10, random.Random(5))  # dual: 4 words
-    assert fresh(C).weight_distribution(guard=4) \
-        == enumerated_weights(C)
+    W = enumerated_weights(C)  # lists all 1024 words, so before the patch
+    monkeypatch.setattr(codes, "ENUM_GUARD", 4)
+    assert fresh(C).weight_distribution() == W
+    monkeypatch.setattr(codes, "ENUM_GUARD", 3)
     with pytest.raises(GuardExceeded, match="code has 1024 words, guard is 3"):
-        fresh(C).weight_distribution(guard=3)
+        fresh(C).weight_distribution()
     with pytest.raises(GuardExceeded, match="code has 4 words, guard is 3"):
-        fresh(C).dual().weight_distribution(guard=3)
+        fresh(C).dual().weight_distribution()
 
 
 def test_dual_weight_distribution_rejects_fractions():

@@ -29,10 +29,6 @@ def unused_imports(tree: ast.Module):
                   if name not in used)
 
 
-# (importing module, name): the rank kernel ambient shares with matlin
-PRIVATE_ALLOWED = {("ambient", "_rank_packed")}
-
-
 def private_imports(tree: ast.Module):
     """(line, name) of every underscore name imported from a module."""
     return sorted((node.lineno, alias.name) for node in ast.walk(tree)
@@ -59,8 +55,7 @@ def test_an_unused_import_is_reported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_name_is_imported(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert [(line, name) for line, name in private_imports(tree)
-            if (path.stem, name) not in PRIVATE_ALLOWED] == []
+    assert private_imports(tree) == []
 
 
 def test_a_private_import_is_reported():

@@ -176,10 +176,10 @@ def test_integer_transform_matches_fraction_formula(q):
         roots = tuple(i for i in range(1, C.k + 1) if oracle[i] > 0)
         assert external_distance(C) == len(roots)
         if roots:
-            assert annihilator(C, T).roots == roots
+            assert annihilator(C).roots == roots
         else:
             with pytest.raises(ValueError, match="full space"):
-                annihilator(C, T)
+                annihilator(C)
         if C.linear:
             W = C.weight_distribution()
             dual = fraction_transform(W, n, T)
