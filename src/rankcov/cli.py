@@ -182,17 +182,14 @@ def _cmd_cosets(args) -> int:
     N = C.field.q ** (C.k * C.m)
     if args.X is not None:
         if not 0 <= args.X < N:
-            print(f"--X {args.X} outside [0, q^(km)) = [0, {N})",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError(f"--X {args.X} outside [0, q^(km)) = [0, {N})")
         X = index_to_mat(C.field, C.k, C.m, args.X)
         prof = cosets.coset_profile(C, X)
         _emit([("minweight", prof.minweight),
                ("weights", " ".join(str(w) for w in prof.W))])
         return 0
     if not C.linear:
-        print("full coset tables require a linear code", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("full coset tables require a linear code")
     if not args.force:
         check_guard(N, "coset table over {count} matrices exceeds the guard; "
                     "use --force")
@@ -235,9 +232,10 @@ def _cmd_surgery(args) -> int:
 def _cmd_initial_set(args) -> int:
     C = parse(args.file)
     inset = covering.initial_set(C)  # a nonzero linear code: |C| >= 2
-    lam, bound = covering._initial_set_cover(C)
+    bound = covering.bound_initial_set(C)
     _emit([("cells", " ".join(f"({i},{j})" for i, j in inset.entries)),
-           ("lambda", lam), ("bound_initial_set", bound)])
+           ("lambda", bound - C.min_distance() + 1),
+           ("bound_initial_set", bound)])
     return 0
 
 
@@ -259,8 +257,7 @@ def _cmd_gen(args) -> int:
             C = construct.random_code(field, args.k, args.m,
                                       args.size, args.seed)
         else:
-            print("gen random needs --dim or --size", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("gen random needs --dim or --size")
     sys.stdout.write(serialize(C))
     return 0
 

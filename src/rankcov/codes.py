@@ -11,6 +11,7 @@ complement is the dual.  Every exhaustive count passes
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
@@ -37,8 +38,7 @@ class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
     __slots__ = ("field", "k", "m", "linear", "span", "basis", "words",
-                 "_min_distance", "_weight_distribution", "_pair_counts",
-                 "_dual")
+                 "_weight_distribution", "_pair_counts", "_dual")
 
     def __init__(self, field: FieldSpec, k: int, m: int, *,
                  span: Optional[Subspace] = None,
@@ -53,7 +53,6 @@ class RankCode:
         self.basis = (None if span is None
                       else tuple(Mat._of(field, k, m, r) for r in span.basis))
         self.words = words
-        self._min_distance = None
         self._weight_distribution = None
         self._pair_counts = None
         self._dual = None
@@ -139,32 +138,17 @@ class RankCode:
             return False
         if self.linear:
             return self.span.contains(X.entries)
-        lo, hi = 0, len(self.words)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.words[mid].entries < X.entries:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.words) and self.words[lo].entries == X.entries
+        i = bisect_left(self.words, X.entries, key=lambda M: M.entries)
+        return i < len(self.words) and self.words[i].entries == X.entries
 
     # -- metric invariants --
 
     def min_distance(self) -> int:
-        if self._min_distance is not None:
-            return self._min_distance
+        """The least i >= 1 with a pair of codewords at distance i."""
         if self.cardinality() < 2:
             raise ValueError("minimum distance needs at least two codewords")
-        if self.linear:
-            W = self.weight_distribution()
-            d = next(i for i in range(1, self.k + 1) if W[i])
-        else:
-            n = len(self.words)
-            check_guard(n * (n - 1) // 2, "too many codeword pairs")
-            P = self._pairs()
-            d = next(i for i in range(1, self.k + 1) if P[i])
-        self._min_distance = d
-        return d
+        P = self.distance_counts()
+        return next(i for i in range(1, self.k + 1) if P[i])
 
     def weight_distribution(self) -> List[int]:
         """W_i = number of codewords of rank i.
@@ -185,8 +169,9 @@ class RankCode:
         D = self.dual()
         if D._weight_distribution is None:
             small = D if D.cardinality() < self.cardinality() else self
+            side = "dual code" if small is D else "code"
             check_guard(small.cardinality(),
-                        f"code has {self.cardinality()} words, guard is {{guard}}")
+                        side + " has {count} words, guard is {guard}")
             small._weight_distribution = tuple(small._enumerated_weights())
         known, other = ((self, D) if self._weight_distribution is not None
                         else (D, self))
@@ -218,28 +203,6 @@ class RankCode:
                 W[rank(w)] += 1
         return W
 
-    def _pairs(self) -> Tuple[int, ...]:
-        """Ordered pairs of distinct words of a set at each distance,
-        counted once per code.  In characteristic 2 every ordered pair,
-        (a, a) included, is a lane of :func:`ambient.pair_lanes`; otherwise
-        rank(a - b) is read off the index a + (-b), once per unordered
-        pair."""
-        if self._pair_counts is None:
-            F = self.field
-            idx = [mat_index(M) for M in self.words]
-            if F.p == 2:
-                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
-                P[0] -= len(idx)
-            else:
-                neg = [mat_index(-M) for M in self.words]
-                rank = rank_of_index(F, self.k, self.m)
-                P = [0] * (self.k + 1)
-                for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
-                    for b in neg[i + 1:]:
-                        P[rank(add_index(F, a, b))] += 2
-            self._pair_counts = tuple(P)
-        return self._pair_counts
-
     def _rank_counts(self, chunks) -> List[int]:
         """How many lanes of the (planes, lanes) chunks have each rank."""
         W = [0] * (self.k + 1)
@@ -251,15 +214,31 @@ class RankCode:
 
     def distance_counts(self) -> List[int]:
         """|C| B_i: the ordered pairs of codewords at distance i, equal
-        pairs counted at i = 0; |C| W for a linear code."""
+        pairs counted at i = 0; |C| W for a linear code.
+
+        A set ranks its pairs once, guarded by the n(n-1)/2 unordered
+        pairs.  In characteristic 2 every ordered pair, (a, a) included,
+        is a lane of :func:`ambient.pair_lanes`; otherwise rank(a - b) is
+        read off the index a + (-b), once per unordered pair."""
         if self.linear:
             n = self.cardinality()
             return [n * w for w in self.weight_distribution()]
-        n = len(self.words)
-        check_guard(n * n, "too many codeword pairs")
-        P = list(self._pairs())
-        P[0] = n
-        return P
+        if self._pair_counts is None:
+            n = len(self.words)
+            check_guard(n * (n - 1) // 2, "too many codeword pairs")
+            F = self.field
+            idx = [mat_index(M) for M in self.words]
+            if F.p == 2:
+                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
+            else:
+                neg = [mat_index(-M) for M in self.words]
+                rank = rank_of_index(F, self.k, self.m)
+                P = [n] + [0] * self.k
+                for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
+                    for b in neg[i + 1:]:
+                        P[rank(add_index(F, a, b))] += 2
+            self._pair_counts = tuple(P)
+        return list(self._pair_counts)
 
     def distance_distribution(self) -> List["Fraction"]:
         """B_i = (ordered pairs at distance i) / |C|; equals W for linear codes."""
@@ -315,8 +294,6 @@ class RankCode:
             raise ValueError("dually QMRD is defined for linear codes only")
         t = self.dim
         if t % self.m == 0:
-            return False
-        if t == 0 or t == self.k * self.m:
             return False
         dual = self.dual()
         return (self.min_distance() == self.k - math.ceil(t / self.m) + 1

@@ -22,18 +22,23 @@ def covering_radius_exact(C: RankCode, *, force: bool = False,
     space.  The guard on q^(km) bounds the balls' bits as well as the
     search; force lifts it, but not the guard on the code's words, the
     balls' centres.  With an upper bound u, a ball of radius u - 1 that
-    is not full proves rho = u."""
+    is not full proves rho = u.  A forced search whose balls do not fit
+    in memory is refused as well."""
     if C.is_full_space():
         return 0
+    N = C.field.q ** (C.k * C.m)
     if not force:
-        check_guard(C.field.q ** (C.k * C.m),
-                    "ambient scan over {count} matrices exceeds the guard "
-                    "{guard}; pass force=True to run it anyway")
+        check_guard(N, "ambient scan over {count} matrices exceeds the guard "
+                       "{guard}; pass force=True to run it anyway")
     rho = 0
-    for _ in rank_balls(C.field, C.k, C.m, C.word_indices()):
-        rho += 1
-        if rho == upper_bound:
-            break
+    try:
+        for _ in rank_balls(C.field, C.k, C.m, C.word_indices()):
+            rho += 1
+            if rho == upper_bound:
+                break
+    except MemoryError:
+        raise GuardExceeded(f"ambient scan over {N} matrices does not fit "
+                            "in memory") from None
     return rho
 
 
@@ -117,23 +122,17 @@ def min_line_cover(S: LinePattern) -> int:
     return sum(_augment(adj, match_col, row, set()) for row in sorted(adj))
 
 
-def _initial_set_cover(C: RankCode) -> Tuple[int, int]:
-    """(lambda(S), d - 1 + lambda(S)) for S the complement of the initial
-    set in the top d-distance-constrained strip."""
+def bound_initial_set(C: RankCode) -> int:
+    """d - 1 + lambda(S) for S the complement of the initial set in the
+    top d-distance-constrained strip."""
+    if not C.linear or C.dim == 0:
+        raise ValueError("the initial set bound needs a nonzero linear code")
     d = C.min_distance()
     inset = set(initial_set(C).entries)
     a = C.k - d + 1
     cells = frozenset((i, j) for i in range(1, a + 1)
                       for j in range(1, C.m + 1) if (i, j) not in inset)
-    lam = min_line_cover(LinePattern(a, C.m, cells))
-    return lam, d - 1 + lam
-
-
-def bound_initial_set(C: RankCode) -> int:
-    """d - 1 + lambda(S); see :func:`_initial_set_cover`."""
-    if not C.linear or C.dim == 0:
-        raise ValueError("the initial set bound needs a nonzero linear code")
-    return _initial_set_cover(C)[1]
+    return d - 1 + min_line_cover(LinePattern(a, C.m, cells))
 
 
 # -- maximality --

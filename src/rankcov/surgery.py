@@ -58,6 +58,7 @@ def shorten(C: RankCode, A: Mat, u: int) -> RankCode:
     if C.linear:
         image = Subspace(C.field, C.k * C.m, [(A @ B).entries for B in C.basis])
         return RankCode(C.field, C.k - u, C.m, span=image.zero_head(u * C.m))
-    kept = [_project(A @ M, u) for M in C.words
-            if all(x == 0 for x in (A @ M).entries[: u * C.m])]
+    images = (A @ M for M in C.words)
+    kept = [_project(AM, u) for AM in images
+            if all(x == 0 for x in AM.entries[: u * C.m])]
     return RankCode.from_codewords(C.field, C.k - u, C.m, kept)

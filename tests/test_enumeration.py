@@ -144,16 +144,21 @@ def test_set_invariants_share_one_pair_pass(monkeypatch):
     assert len(calls) == 9 * 8 // 2
 
 
-def test_set_pair_guards_keep_their_own_counts(monkeypatch):
-    C = random_code(field_from_order(2), 2, 3, 6, 1)
-    monkeypatch.setattr(codes, "ENUM_GUARD", 35)
-    with pytest.raises(GuardExceeded, match="too many codeword pairs"):
-        C.distance_distribution()  # 36 ordered pairs
-    monkeypatch.setattr(codes, "ENUM_GUARD", 15)
-    assert C.min_distance() >= 1  # 15 unordered pairs
-    monkeypatch.setattr(codes, "ENUM_GUARD", 35)
-    with pytest.raises(GuardExceeded, match="too many codeword pairs"):
-        C.distance_distribution()
+def test_set_pairs_are_ranked_once_behind_one_guard(monkeypatch):
+    def six_words():  # 15 unordered pairs
+        return random_code(field_from_order(2), 2, 3, 6, 1)
+    d, B = six_words().min_distance(), six_words().distance_distribution()
+    for call, value in ((RankCode.min_distance, d),
+                        (RankCode.distance_distribution, B)):
+        C = six_words()
+        monkeypatch.setattr(codes, "ENUM_GUARD", 14)
+        with pytest.raises(GuardExceeded, match="^too many codeword pairs$"):
+            call(C)
+        monkeypatch.setattr(codes, "ENUM_GUARD", 15)
+        assert call(C) == value
+        # once ranked, the pairs serve both calls whatever the guard
+        monkeypatch.setattr(codes, "ENUM_GUARD", 14)
+        assert (C.min_distance(), C.distance_distribution()) == (d, B)
 
 
 def test_dual_is_computed_once():
@@ -289,7 +294,8 @@ def test_guard_counts_the_enumerated_side(monkeypatch):
     monkeypatch.setattr(codes, "ENUM_GUARD", 4)
     assert fresh(C).weight_distribution() == W
     monkeypatch.setattr(codes, "ENUM_GUARD", 3)
-    with pytest.raises(GuardExceeded, match="code has 1024 words, guard is 3"):
+    with pytest.raises(GuardExceeded,
+                       match="^dual code has 4 words, guard is 3$"):
         fresh(C).weight_distribution()
     with pytest.raises(GuardExceeded, match="code has 4 words, guard is 3"):
         fresh(C).dual().weight_distribution()

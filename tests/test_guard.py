@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rankcov import codes
+from rankcov import codes, covering
 from rankcov.cli import main, serialize
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_code, random_linear_code
@@ -62,12 +62,16 @@ def test_one_patch_moves_every_cli_guard(tmp_path, capsys, monkeypatch):
 
 
 def test_bounds_report_applies_the_guard_to_every_count(monkeypatch):
-    # 15 unordered pairs for min_distance pass at 20, but the 36 ordered
-    # pairs behind the external distance bound do not
-    C = random_code(F2, 2, 3, 6, 1)
-    monkeypatch.setattr(codes, "ENUM_GUARD", 20)
+    # the 15 unordered pairs of the 6-word set are the one count behind
+    # both its minimum distance and its external distance bound
+    def six_words():
+        return random_code(F2, 2, 3, 6, 1)
+    unguarded = bounds_report(six_words()).bound_external
+    monkeypatch.setattr(codes, "ENUM_GUARD", 14)
     with pytest.raises(GuardExceeded, match="^too many codeword pairs$"):
-        bounds_report(C)
+        bounds_report(six_words())
+    monkeypatch.setattr(codes, "ENUM_GUARD", 15)
+    assert bounds_report(six_words()).bound_external == unguarded
 
 
 def test_force_lifts_the_ambient_guard_but_not_the_word_guard(
@@ -90,6 +94,18 @@ def test_force_lifts_the_ambient_guard_but_not_the_word_guard(
     assert capsys.readouterr().err == refusal + "\n"
     assert main(["--force", "bounds", path]) == 3
     assert capsys.readouterr().err == refusal + "\n"
+
+
+def test_a_forced_search_that_cannot_allocate_is_refused(
+        tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(covering, "rank_balls", out_of_memory)
+    path = _write(tmp_path, "zero.rmc", RankCode.zero_code(F2, 2, 3))
+    refusal = "ambient scan over 64 matrices does not fit in memory"
+    for command in ("covering-radius", "bounds"):
+        assert main(["--force", command, path]) == 3
+        assert capsys.readouterr() == ("", refusal + "\n")
 
 
 def _guard_reads(node):

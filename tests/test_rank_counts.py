@@ -193,12 +193,12 @@ def test_pair_distributions_match_the_per_word_path(q):
     for C in set_codes(q):
         F = C.field
         rank_at = rank_of_index(F, C.k, C.m)
-        P = [0] * (C.k + 1)
+        P = [len(C.words)] + [0] * C.k  # the equal pairs, at distance 0
         for a in C.words:
             for b in C.words:
                 if a != b:
                     P[rank_at(mat_index(a - b))] += 1
-        assert list(C._pairs()) == P
+        assert C.distance_counts() == P
 
 
 def gaussian_binomial(n, r, q):
