@@ -25,7 +25,7 @@ def show(name, code):
             print(f"   {label} = {value}")
     print(f"   packing lower bound  floor((d+1)/2) = {rep.packing_lower}")
     print(f"   exact covering radius rho = {rep.rho_exact} "
-          f"(full ambient scan)")
+          f"(ball search, never past the least upper bound)")
     print(f"   maximal: {rep.maximal}   maximality degree mu = "
           f"{rep.maximality_degree}")
     slack = min(rep.upper_bounds()) - rep.rho_exact

@@ -52,12 +52,12 @@ def _lane_patterns(n: int) -> tuple:
                  * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(n))
 
 
-def span_lanes(basis: Sequence[int],
-               nbits: int) -> Iterator[Tuple[List[int], int]]:
-    """Chunks holding every F_2-combination of the indices in basis:
-    lane w is the XOR of basis[j] over the bits j of w.  Plane b of the
-    low chunk is the XOR of the patterns P_j over the basis[j] with bit b
-    set; the other chunks add the XOR of the high basis vectors, that is
+def span_lanes(basis: Sequence[int], nbits: int,
+               start: int = 0) -> Iterator[Tuple[List[int], int]]:
+    """Chunks holding start XOR every F_2-combination of the indices in
+    basis: lane w is start XOR basis[j] over the bits j of w.  Plane b of
+    the low chunk is the XOR of the patterns P_j over the basis[j] with
+    bit b set; each chunk adds start XOR some high basis vectors, that is
     a constant mask."""
     low, high = basis[:LANE_BITS], basis[LANE_BITS:]
     lanes = 1 << len(low)
@@ -67,7 +67,7 @@ def span_lanes(basis: Sequence[int],
         for b in range(v.bit_length()):
             if v >> b & 1:
                 planes[b] ^= P
-    consts = [0]
+    consts = [start]
     for v in high:
         consts += [c ^ v for c in consts]
     for c in consts:

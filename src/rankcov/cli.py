@@ -201,7 +201,7 @@ def _cmd_cosets(args) -> int:
     reps = [sum(d * q ** t for d, t in zip(digits(j, q, len(free)), free))
             for j in range(q ** len(free))]
     _emit([(f"coset_{idx:0{len(str(N - 1))}d}", " ".join(str(w) for w in W))
-           for idx, W in zip(reps, cosets.translate_weights(C, reps))])
+           for idx, W in zip(reps, C.translate_weights(reps))])
     return 0
 
 

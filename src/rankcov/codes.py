@@ -15,12 +15,16 @@ from bisect import bisect_left
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
-                      span_lanes, word_lanes)
+                      rank_table, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index
 from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
+
+# translate_weights reads ranks from the cached q^(km)-byte rank table up
+# to this ambient size and ranks lanes or single words above it
+TABLE_CAP = 1 << 20
 
 
 class GuardExceeded(RuntimeError):
@@ -106,7 +110,7 @@ class RankCode:
         return len(self.words)
 
     def is_full_space(self) -> bool:
-        return self.linear and len(self.basis) == self.k * self.m
+        return self.cardinality() == self.field.q ** (self.k * self.m)
 
     def word_indices(self) -> List[int]:
         """The ambient index of every codeword.  A linear code is expanded
@@ -181,27 +185,50 @@ class RankCode:
         return list(self._weight_distribution)
 
     def _enumerated_weights(self) -> List[int]:
-        F = self.field
-        if F.p == 2:
-            nbits = self.k * self.m * F.e
-            if self.linear:  # F_2-basis {x^s B}
-                return self._rank_counts(span_lanes(
-                    [mat_index(B.scale(1 << s))
-                     for B in self.basis for s in range(F.e)], nbits))
-            return self._rank_counts(word_lanes(self.word_indices(), nbits))
+        if self.field.p == 2:
+            return self._rank_counts(self._lanes(0))
+        if not self.linear:
+            return self.translate_weights([0])[0]
+        q = self.field.q
         words = self.word_indices()
         rank = rank_of_index(self.field, self.k, self.m)
-        W = [0] * (self.k + 1)
-        if self.linear:
-            q = self.field.q
-            W[0] = 1
-            for j in range(len(self.basis)):
-                for w in words[q ** j: 2 * q ** j]:
-                    W[rank(w)] += q - 1
-        else:
-            for w in words:
-                W[rank(w)] += 1
+        W = [1] + [0] * self.k
+        for j in range(len(self.basis)):
+            for w in words[q ** j: 2 * q ** j]:
+                W[rank(w)] += q - 1
         return W
+
+    def translate_weights(self, xs: Sequence[int]) -> List[List[int]]:
+        """The weight distribution of C+X for each X indexed by xs, with
+        the code expanded once for all of them.  Above TABLE_CAP,
+        characteristic 2 ranks lanes and odd p ranks M + X word by word."""
+        check_guard(self.cardinality(), "coset enumeration over {count} "
+                    "codewords exceeds the guard {guard}")
+        F, k, m = self.field, self.k, self.m
+        above_cap = F.q ** (k * m) > TABLE_CAP
+        if F.p == 2 and above_cap:
+            return [self._rank_counts(self._lanes(x)) for x in xs]
+        rank = (rank_of_index(F, k, m) if above_cap
+                else rank_table(F, k, m).__getitem__)
+        words = self.word_indices()
+        out = []
+        for x in xs:
+            W = [0] * (k + 1)
+            for w in words:
+                W[rank(add_index(F, w, x))] += 1
+            out.append(W)
+        return out
+
+    def _lanes(self, x: int):
+        """Lane chunks of the words of C+X, X indexed by x, for p = 2:
+        a linear code's span lanes start at x, so it lists no words."""
+        F = self.field
+        nbits = self.k * self.m * F.e
+        if self.linear:
+            return span_lanes([mat_index(B.scale(1 << s))
+                               for B in self.basis for s in range(F.e)],
+                              nbits, x)
+        return word_lanes([w ^ x for w in self.word_indices()], nbits)
 
     def _rank_counts(self, chunks) -> List[int]:
         """How many lanes of the (planes, lanes) chunks have each rank."""
@@ -218,8 +245,8 @@ class RankCode:
 
         A set ranks its pairs once, guarded by the n(n-1)/2 unordered
         pairs.  In characteristic 2 every ordered pair, (a, a) included,
-        is a lane of :func:`ambient.pair_lanes`; otherwise rank(a - b) is
-        read off the index a + (-b), once per unordered pair."""
+        is a lane of :func:`ambient.pair_lanes`; otherwise they are the
+        column sums of the translate distributions W(C - b) over b in C."""
         if self.linear:
             n = self.cardinality()
             return [n * w for w in self.weight_distribution()]
@@ -227,16 +254,12 @@ class RankCode:
             n = len(self.words)
             check_guard(n * (n - 1) // 2, "too many codeword pairs")
             F = self.field
-            idx = [mat_index(M) for M in self.words]
             if F.p == 2:
-                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
-            else:
-                neg = [mat_index(-M) for M in self.words]
-                rank = rank_of_index(F, self.k, self.m)
-                P = [n] + [0] * self.k
-                for i, a in enumerate(idx):  # rank(a - b) = rank(b - a)
-                    for b in neg[i + 1:]:
-                        P[rank(add_index(F, a, b))] += 2
+                P = self._rank_counts(pair_lanes(
+                    [mat_index(M) for M in self.words], self.k * self.m * F.e))
+            else:  # n <= the guard here, so the translates pass it too
+                P = [sum(col) for col in zip(*self.translate_weights(
+                    [mat_index(-M) for M in self.words]))]
             self._pair_counts = tuple(P)
         return list(self._pair_counts)
 

@@ -1,9 +1,10 @@
 """Translate (coset) analysis of rank-metric codes.
 
-Covers the direct weight distribution of a translate C+X, the completion
-of the distribution tail from its first k-d(dual)+1 entries by Moebius
-inversion on the subspace lattice, and the annihilator-polynomial
-identity behind the external distance bound.
+Covers the weight distribution of a translate C+X (ranked by
+:meth:`RankCode.translate_weights`), the completion of the distribution
+tail from its first k-d(dual)+1 entries by Moebius inversion on the
+subspace lattice, and the annihilator-polynomial identity behind the
+external distance bound.
 """
 
 from __future__ import annotations
@@ -12,16 +13,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .ambient import mat_index, rank_table
-from .codes import RankCode, check_guard
+from .ambient import mat_index
+from .codes import RankCode
 from .covering import external_support
-from .gfield import add_index
-from .matlin import Mat, Subspace, rank_of_index
+from .matlin import Mat, Subspace
 from .qcomb import build_table, gaussian_binomial, subspace_moebius
-
-# coset_profile reads ranks from the cached q^(km)-byte rank table up to
-# this ambient size and row-reduces M + X per codeword above it
-TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -36,29 +32,9 @@ def coset_profile(C: RankCode, X: Mat) -> CosetProfile:
     """Exact weight distribution of the translate C+X by enumeration."""
     if X.field != C.field or (X.k, X.m) != (C.k, C.m):
         raise ValueError("translate matrix dimension/field mismatch")
-    W = translate_weights(C, [mat_index(X)])[0]
+    W = C.translate_weights([mat_index(X)])[0]
     minweight = next(i for i, w in enumerate(W) if w)
     return CosetProfile(C, X, tuple(W), minweight)
-
-
-def translate_weights(C: RankCode, xs: Sequence[int]) -> List[List[int]]:
-    """The weight distribution of C+X for each X indexed by xs, with the
-    code expanded once for all of them."""
-    check_guard(C.cardinality(), "coset enumeration over {count} codewords "
-                "exceeds the guard {guard}")
-    F, n = C.field, C.k * C.m
-    if F.q ** n <= TABLE_CAP:
-        rank = rank_table(F, C.k, C.m).__getitem__
-    else:
-        rank = rank_of_index(F, C.k, C.m)
-    words = C.word_indices()
-    out = []
-    for x in xs:
-        W = [0] * (C.k + 1)
-        for w in words:
-            W[rank(add_index(F, w, x))] += 1
-        out.append(W)
-    return out
 
 
 def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,

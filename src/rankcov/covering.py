@@ -138,11 +138,7 @@ def bound_initial_set(C: RankCode) -> int:
 # -- maximality --
 
 def is_maximal(C: RankCode, rho: Optional[int] = None) -> bool:
-    if C.cardinality() == 1 or C.is_full_space():
-        return True
-    if rho is None:
-        rho = covering_radius_exact(C)
-    return rho <= C.min_distance() - 1
+    return C.cardinality() == 1 or maximality_degree(C, rho) > 0
 
 
 def maximality_degree(C: RankCode, rho: Optional[int] = None) -> int:

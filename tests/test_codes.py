@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.gfield import make_field
+from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat, enumerate_subspaces, rank
 from rankcov.codes import RankCode
 from rankcov.construct import random_code, random_linear_code
@@ -143,6 +143,32 @@ def test_restrict_linear_matches_filter():
         direct = {M.entries for M in C.codewords()
                   if all(U.contains(M.col(j)) for j in range(3))}
         assert {M.entries for M in R.codewords()} == direct
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_restrict_of_a_set_matches_a_column_space_filter(q):
+    # colspace(M) <= U iff U's basis with M's columns still has rank dim U
+    F = field_from_order(q)
+    rng = random.Random(27)
+    k, m = 2, 3
+    L = random_linear_code(F, k, m, 3, rng)
+    S = RankCode.from_codewords(F, k, m, list(L.codewords()))
+    C = random_code(F, k, m, 12, rng)
+    for u in range(k + 1):
+        for U in enumerate_subspaces(F, k, u):
+            def inside(M):
+                return rank(Mat.from_rows(F, list(U.basis) + [
+                    M.col(j) for j in range(m)])) == u
+
+            assert (sorted(M.entries for M in S.restrict(U).words)
+                    == sorted(M.entries for M in L.restrict(U).codewords())
+                    == sorted(M.entries for M in L.codewords() if inside(M)))
+            kept = sorted(M.entries for M in C.words if inside(M))
+            if kept:
+                assert [M.entries for M in C.restrict(U).words] == kept
+            else:
+                with pytest.raises(ValueError, match="is empty"):
+                    C.restrict(U)
 
 
 def test_is_mrd():

@@ -289,6 +289,22 @@ def test_bounds_report_full_space():
     assert rep.maximality_degree == 1
 
 
+@pytest.mark.parametrize("field", (F2, F3))
+def test_bounds_report_full_space_given_as_a_set(field):
+    # every 1 x 2 matrix, as a set and as the linear full space: neither
+    # gets a packing bound or an external distance
+    full = RankCode.full_space(field, 1, 2)
+    reps = [bounds_report(C) for C in (
+        full, RankCode.from_codewords(field, 1, 2, list(full.codewords())))]
+    for rep in reps:
+        assert rep.cardinality == field.q ** 2 and rep.min_distance == 1
+        assert rep.rho_exact == 0
+        assert rep.packing_lower is None and rep.bound_external is None
+        assert rep.maximal is True and rep.maximality_degree == 1
+    assert vars(reps[0]) == dict(vars(reps[1]), dim=2, bound_initial_set=0,
+                                 is_dually_qmrd=False)
+
+
 def test_bounds_report_zero_code():
     rep = bounds_report(RankCode.zero_code(F2, 2, 2))
     assert rep.rho_exact == 2

@@ -131,17 +131,18 @@ def test_rank_of_index_without_field_tables(q):
 
 def test_set_invariants_share_one_pair_pass(monkeypatch):
     calls = []
+    inner = RankCode.translate_weights
 
-    def counting(field, k, m):
-        inner = rank_of_index(field, k, m)
-        return lambda idx: calls.append(idx) or inner(idx)
+    def counting(self, xs):
+        calls.append(len(xs))
+        return inner(self, xs)
 
-    monkeypatch.setattr(codes, "rank_of_index", counting)
+    monkeypatch.setattr(RankCode, "translate_weights", counting)
     C = random_code(field_from_order(3), 2, 3, 9, 5)
     C.min_distance()
     C.distance_distribution()
     external_distance(C)
-    assert len(calls) == 9 * 8 // 2
+    assert calls == [9]  # one call, one translate per word
 
 
 def test_set_pairs_are_ranked_once_behind_one_guard(monkeypatch):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankcov.gfield import make_field
+from rankcov.gfield import field_from_order, make_field
 from rankcov.matlin import Mat, invert, random_invertible, rank
 from rankcov.codes import RankCode
 from rankcov.construct import random_code, random_linear_code
@@ -106,3 +106,45 @@ def test_puncture_of_mrd_stays_mrd():
         u = rng.randrange(1, 3)
         P = puncture(C, A, u)
         assert P.is_MRD()
+
+
+def _words(C):
+    return sorted(M.entries for M in C.codewords())
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_set_surgery_matches_the_linear_code_with_the_same_words(q):
+    F = field_from_order(q)
+    rng = random.Random(36)
+    for k, m, dim in ((2, 2, 0), (2, 3, 2), (3, 3, 2)):
+        C = random_linear_code(F, k, m, dim, rng)
+        S = RankCode.from_codewords(F, k, m, list(C.codewords()))
+        A = random_invertible(F, k, rng)
+        assert _words(left_mul(A, S)) == _words(left_mul(A, C))
+        for u in range(1, k):
+            assert _words(puncture(S, A, u)) == _words(puncture(C, A, u))
+            assert _words(shorten(S, A, u)) == _words(shorten(C, A, u))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_set_surgery_of_nonlinear_sets_matches_direct_projection(q):
+    F = field_from_order(q)
+    rng = random.Random(37)
+    k, m = 3, 3
+    zero = Mat.zero(F, k, m)
+    for size in (2, 5, 11):
+        C = random_code(F, k, m, size, rng)
+        words = [M for M in C.words if not M.is_zero()]
+        C = RankCode.from_codewords(F, k, m, words + [zero])
+        span = RankCode.from_generators(F, k, m, words)
+        assert span.cardinality() > C.cardinality()  # not linear
+        A = random_invertible(F, k, rng)
+        rows = [(A @ M).rows() for M in C.words]
+        assert _words(left_mul(A, C)) == sorted(sum(r, ()) for r in rows)
+        for u in range(1, k):
+            assert _words(puncture(C, A, u)) == sorted(
+                {sum(r[u:], ()) for r in rows})
+            assert _words(shorten(C, A, u)) == sorted(
+                sum(r[u:], ()) for r in rows if not any(map(any, r[:u])))
+        with pytest.raises(ValueError, match="requires 0 to be a codeword"):
+            shorten(RankCode.from_codewords(F, k, m, words), A, 1)
