@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
                       rank_table, span_lanes, word_lanes)
@@ -185,23 +185,23 @@ class RankCode:
         return list(self._weight_distribution)
 
     def _enumerated_weights(self) -> List[int]:
-        if self.field.p == 2:
+        F = self.field
+        if F.p == 2:
             return self._rank_counts(self._lanes(0))
-        if not self.linear:
-            return self.translate_weights([0])[0]
-        q = self.field.q
         words = self.word_indices()
-        rank = rank_of_index(self.field, self.k, self.m)
-        W = [1] + [0] * self.k
-        for j in range(len(self.basis)):
-            for w in words[q ** j: 2 * q ** j]:
-                W[rank(w)] += q - 1
-        return W
+        rank = rank_of_index(F, self.k, self.m)
+        if not self.linear:
+            return self._shifted_weights(words, 0, rank)
+        q = F.q
+        W = self._shifted_weights((w for j in range(len(self.basis))
+                                   for w in words[q ** j: 2 * q ** j]), 0, rank)
+        return [1] + [(q - 1) * w for w in W[1:]]
 
     def translate_weights(self, xs: Sequence[int]) -> List[List[int]]:
         """The weight distribution of C+X for each X indexed by xs, with
-        the code expanded once for all of them.  Above TABLE_CAP,
-        characteristic 2 ranks lanes and odd p ranks M + X word by word."""
+        the code expanded once for all of them: each M + X is read from the
+        cached rank table up to TABLE_CAP, and above it characteristic 2
+        ranks lanes and odd p ranks M + X word by word."""
         check_guard(self.cardinality(), "coset enumeration over {count} "
                     "codewords exceeds the guard {guard}")
         F, k, m = self.field, self.k, self.m
@@ -211,13 +211,18 @@ class RankCode:
         rank = (rank_of_index(F, k, m) if above_cap
                 else rank_table(F, k, m).__getitem__)
         words = self.word_indices()
-        out = []
-        for x in xs:
-            W = [0] * (k + 1)
-            for w in words:
-                W[rank(add_index(F, w, x))] += 1
-            out.append(W)
-        return out
+        return [self._shifted_weights(words, x, rank) for x in xs]
+
+    def _shifted_weights(self, words: Iterable[int], x: int,
+                         rank) -> List[int]:
+        """How many of the indices w + x, w in words, have each rank under
+        rank: the word-by-word pass behind translates and odd-p weights
+        and set pairs."""
+        F = self.field
+        W = [0] * (self.k + 1)
+        for w in words:
+            W[rank(add_index(F, w, x))] += 1
+        return W
 
     def _lanes(self, x: int):
         """Lane chunks of the words of C+X, X indexed by x, for p = 2:
@@ -245,8 +250,9 @@ class RankCode:
 
         A set ranks its pairs once, guarded by the n(n-1)/2 unordered
         pairs.  In characteristic 2 every ordered pair, (a, a) included,
-        is a lane of :func:`ambient.pair_lanes`; otherwise they are the
-        column sums of the translate distributions W(C - b) over b in C."""
+        is a lane of :func:`ambient.pair_lanes`; otherwise each unordered
+        pair {a, b} is ranked once, in the weights of the b after a
+        shifted by -a, and counted twice."""
         if self.linear:
             n = self.cardinality()
             return [n * w for w in self.weight_distribution()]
@@ -254,12 +260,15 @@ class RankCode:
             n = len(self.words)
             check_guard(n * (n - 1) // 2, "too many codeword pairs")
             F = self.field
+            idx = [mat_index(M) for M in self.words]
             if F.p == 2:
-                P = self._rank_counts(pair_lanes(
-                    [mat_index(M) for M in self.words], self.k * self.m * F.e))
-            else:  # n <= the guard here, so the translates pass it too
-                P = [sum(col) for col in zip(*self.translate_weights(
-                    [mat_index(-M) for M in self.words]))]
+                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
+            else:  # rank(b - a) = rank(a - b): the b after a, shifted by -a
+                rank = rank_of_index(F, self.k, self.m)
+                P = [n] + [0] * self.k
+                for i, M in enumerate(self.words):
+                    W = self._shifted_weights(idx[i + 1:], mat_index(-M), rank)
+                    P = [p + 2 * w for p, w in zip(P, W)]  # W[0] = 0
             self._pair_counts = tuple(P)
         return list(self._pair_counts)
 

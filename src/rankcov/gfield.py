@@ -85,6 +85,8 @@ def add_index(field: FieldSpec, a: int, b: int) -> int:
     time through a table."""
     if field.p == 2:
         return a ^ b
+    if not b:
+        return a
     P, table = _chunk_sums(field.p)
     out = 0
     mult = 1

@@ -131,18 +131,36 @@ def test_rank_of_index_without_field_tables(q):
 
 def test_set_invariants_share_one_pair_pass(monkeypatch):
     calls = []
-    inner = RankCode.translate_weights
 
-    def counting(self, xs):
-        calls.append(len(xs))
-        return inner(self, xs)
+    def counting(field, k, m):
+        inner = rank_of_index(field, k, m)
+        return lambda idx: calls.append(idx) or inner(idx)
 
-    monkeypatch.setattr(RankCode, "translate_weights", counting)
+    monkeypatch.setattr(codes, "rank_of_index", counting)
     C = random_code(field_from_order(3), 2, 3, 9, 5)
     C.min_distance()
     C.distance_distribution()
     external_distance(C)
-    assert calls == [9]  # one call, one translate per word
+    assert len(calls) == 9 * 8 // 2
+
+
+def test_odd_set_weights_and_pairs_build_no_rank_table(monkeypatch):
+    # a set's own pass ranks its words and pairs one by one; only
+    # translates read the q^(km)-byte table
+    def no_table(*args):
+        raise AssertionError("rank table built for a set's own pass")
+
+    monkeypatch.setattr(codes, "rank_table", no_table)
+    C = random_code(field_from_order(3), 2, 3, 9, 5)
+    W = [0] * 3
+    for M in C.words:
+        W[rank(M)] += 1
+    assert C.weight_distribution() == W
+    P = [0] * 3
+    for M in C.words:
+        for N in C.words:
+            P[rank(M - N)] += 1
+    assert C.distance_counts() == P
 
 
 def test_set_pairs_are_ranked_once_behind_one_guard(monkeypatch):
