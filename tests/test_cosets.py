@@ -108,8 +108,8 @@ def test_translates_above_table_cap_match_the_listed_words(q, k, m, dim,
 
 @pytest.mark.parametrize("q", (2, 3, 4, 9))
 def test_translates_agree_on_both_sides_of_the_table_cap(q, monkeypatch):
-    # for odd p the rank table below the cap against one word at a time
-    # above it; p = 2 ranks lanes on both sides; linear codes and sets
+    # the rank table below the cap against lanes (p = 2) or one word at a
+    # time (odd p) above it, for linear codes and sets
     F = field_from_order(q)
     rng = random.Random(46)
     k, m = (2, 2) if q == 9 else (2, 3)
