@@ -4,10 +4,10 @@ A matrix is indexed by the little-endian base-q number whose digit t is
 the t-th row-major entry (the :func:`gfield.digits` codec).  In
 characteristic 2 an element code is the element's GF(2) coordinate
 vector, so matrix addition is XOR of indices.  The packing never leaks
-into serialization.  In characteristic 2 :func:`rank_counts` ranks a
-whole pass of matrices at once, one bit per matrix; the codeword passes
-in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks one
-matrix from its index.
+into serialization.  In characteristic 2 and 3 :func:`rank_counts` ranks
+a whole pass of matrices at once, one bit lane per matrix; the codeword
+passes in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks
+one matrix from its index for p >= 5.
 
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
@@ -33,12 +33,17 @@ def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
     return Mat._of(field, k, m, digits(idx, field.q, k * m))
 
 
-# -- bit-sliced ranks in characteristic 2 --
+# -- bit-sliced ranks in characteristic 2 and 3 --
 #
-# Lane w of a pass is one matrix; plane b is the int whose bit w is bit b
-# of lane w's index.  The lane builders below yield (planes, lanes)
-# chunks of at most 2^LANE_BITS lanes (or one row of a pair pass), so a
-# pass holds a bounded number of planes whatever the code's size.
+# Lane w of a pass is one matrix.  In characteristic 2 plane b is the int
+# whose bit w is bit b of lane w's index.  In characteristic 3 base-3
+# digit t of the index takes the planes 2t (the digit is nonzero) and
+# 2t + 1 (the digit is 2), so a product of digits is three Boolean
+# operations and a difference seven (Boothby and Bradshaw, arXiv:0901.1413).
+# The lane builders below yield (planes, lanes) chunks of at most
+# 2^LANE_BITS lanes (or one row of a pair pass), so a pass holds a bounded
+# number of planes whatever the code's size; their p argument is the
+# characteristic and nbits counts base-p digits.
 
 LANE_BITS = 16
 
@@ -52,13 +57,28 @@ def _lane_patterns(n: int) -> tuple:
                  * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(n))
 
 
-def span_lanes(basis: Sequence[int], nbits: int,
-               start: int = 0) -> Iterator[Tuple[List[int], int]]:
-    """Chunks holding start XOR every F_2-combination of the indices in
-    basis: lane w is start XOR basis[j] over the bits j of w.  Plane b of
-    the low chunk is the XOR of the patterns P_j over the basis[j] with
-    bit b set; each chunk adds start XOR some high basis vectors, that is
-    a constant mask."""
+def _shift3(nz: int, two: int, d: int, full: int) -> Tuple[int, int]:
+    """The planes of a GF(3) digit plus the constant d: a permutation of
+    the lanes holding 0, 1 and 2."""
+    if d == 1:
+        return full ^ two, nz ^ two
+    if d == 2:
+        return full ^ nz ^ two, full ^ nz
+    return nz, two
+
+
+def span_lanes(basis: Sequence[int], nbits: int, start: int = 0,
+               p: int = 2) -> Iterator[Tuple[List[int], int]]:
+    """Chunks holding start plus every F_p-combination of the indices in
+    basis: lane w is start plus w_j basis[j] over the base-p digits w_j
+    of w.  For p = 2, plane b of the low chunk is the XOR of the patterns
+    P_j over the basis[j] with bit b set; for p = 3 the low chunk triples
+    once per basis vector v, its lanes followed by the same lanes plus v
+    and plus 2v.  Each chunk adds start plus some high basis vectors, a
+    constant."""
+    if p == 3:
+        yield from _span3(basis, nbits, start)
+        return
     low, high = basis[:LANE_BITS], basis[LANE_BITS:]
     lanes = 1 << len(low)
     full = (1 << lanes) - 1
@@ -74,30 +94,69 @@ def span_lanes(basis: Sequence[int], nbits: int,
         yield [x ^ full if c >> b & 1 else x for b, x in enumerate(planes)], lanes
 
 
-def _planes(words: Sequence[int], nbits: int) -> List[int]:
-    """The transposed indices: bit w of plane b is bit b of words[w]."""
-    rows = [format(x, f"0{nbits}b") for x in reversed(words)]
-    return [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
+def _span3(basis: Sequence[int], nbits: int,
+           start: int) -> Iterator[Tuple[List[int], int]]:
+    """:func:`span_lanes` for p = 3."""
+    vecs = [digits(v, 3, nbits) for v in basis]
+    low = 0
+    while 3 ** (low + 1) <= 1 << LANE_BITS:
+        low += 1
+    planes, lanes = [0] * (2 * nbits), 1
+    for v in vecs[:low]:
+        full = (1 << lanes) - 1
+        out = []
+        for nz, two, d in zip(planes[::2], planes[1::2], v):
+            (a0, a1), (b0, b1) = (_shift3(nz, two, d, full),
+                                  _shift3(nz, two, 2 * d % 3, full))
+            out += [nz | (a0 | b0 << lanes) << lanes,
+                    two | (a1 | b1 << lanes) << lanes]
+        planes, lanes = out, 3 * lanes
+    full = (1 << lanes) - 1
+    consts = [digits(start, 3, nbits)]
+    for v in vecs[low:]:
+        consts += [tuple((x + s * y) % 3 for x, y in zip(c, v))
+                   for s in (1, 2) for c in consts]
+    for c in consts:
+        out = []
+        for nz, two, d in zip(planes[::2], planes[1::2], c):
+            out += _shift3(nz, two, d, full)
+        yield out, lanes
 
 
-def word_lanes(words: Sequence[int],
-               nbits: int) -> Iterator[Tuple[List[int], int]]:
+def _planes(words: Sequence[int], nbits: int, p: int = 2) -> List[int]:
+    """The transposed indices: bit w of plane b is bit b of words[w], or
+    for p = 3 the two planes of digit t of words[w]."""
+    if p == 2:
+        rows = [format(x, f"0{nbits}b") for x in reversed(words)]
+        return [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
+    nonzero = bytes.maketrans(b"\0\1\2", b"011")
+    two = bytes.maketrans(b"\0\1\2", b"001")
+    out = []
+    for col in zip(*[digits(x, 3, nbits) for x in reversed(words)]):
+        col = bytes(col)
+        out += [int(col.translate(nonzero), 2), int(col.translate(two), 2)]
+    return out
+
+
+def word_lanes(words: Sequence[int], nbits: int,
+               p: int = 2) -> Iterator[Tuple[List[int], int]]:
     """Chunks with lane w holding the index words[w]."""
     step = 1 << LANE_BITS
     for s in range(0, len(words), step):
         chunk = words[s:s + step]
-        yield _planes(chunk, nbits), len(chunk)
+        yield _planes(chunk, nbits, p), len(chunk)
 
 
-def pair_lanes(words: Sequence[int],
-               nbits: int) -> Iterator[Tuple[List[int], int]]:
+def pair_lanes(words: Sequence[int], nbits: int,
+               p: int = 2) -> Iterator[Tuple[List[int], int]]:
     """Chunks of the ordered pairs: with n words, lane i n + j holds
-    words[i] XOR words[j], the index of their difference in
-    characteristic 2.  In a block of r <= n rows from row i, plane b is
-    P_b times the repunit (r copies at period n) XOR, per row t, n ones
-    where bit i + t of P_b is set."""
+    the index of words[j] - words[i].  A block of r <= n rows from row i
+    copies the word planes once per row, n lanes apart, and adds -a to
+    row t, a = words[i + t]: for p = 2, plane b is P_b times the repunit
+    (r copies at period n) XOR, per row t, n ones where bit i + t of P_b
+    is set; for p = 3 each row gets the digit permutation of -a."""
     n = len(words)
-    planes = _planes(words, nbits)
+    planes = _planes(words, nbits, p)
     rows = max(1, (1 << LANE_BITS) // n)
     ones = (1 << n) - 1
     for i in range(0, n, rows):
@@ -105,24 +164,37 @@ def pair_lanes(words: Sequence[int],
         rep = ((1 << r * n) - 1) // ones  # bit t n for t < r
         diag = ((1 << r * (n + 1)) - 1) // ((2 << n) - 1)  # bit t (n + 1)
         half, top = rep * (ones >> 1), rep << n - 1
-        out = []
-        for P in planes:
+
+        def spread(P):
+            """Bit t n where bit i + t of P is set, t < r."""
             # block t holds bit i + t of P at its bit t, so it is 0 or at
             # most 2^(n-1), and adding 2^(n-1) - 1 sets its top bit if not 0
             row_bits = (P >> i & (1 << r) - 1) * rep & diag
-            out.append(P * rep ^ ((row_bits + half & top) >> n - 1) * ones)
+            return (row_bits + half & top) >> n - 1
+
+        if p == 2:
+            yield [P * rep ^ spread(P) * ones for P in planes], r * n
+            continue
+        out = []
+        for nz, two in zip(planes[::2], planes[1::2]):
+            # the rows where -a has digit 1 (a has 2) and digit 2 (a has 1)
+            m1, m2 = spread(two), spread(nz ^ two)
+            m0 = rep ^ m1 ^ m2
+            for d0, d1, d2 in zip((nz, two), _shift3(nz, two, 1, ones),
+                                  _shift3(nz, two, 2, ones)):
+                out.append(d0 * m0 | d1 * m1 | d2 * m2)
         yield out, r * n
 
 
 @lru_cache(maxsize=8)
 def _product_terms(field: FieldSpec) -> tuple:
-    """For GF(2^e): per output bit i, the degrees d <= 2e - 2 whose
-    power x^d has bit i set, with x^d read off ``field.mul``."""
-    e = field.e
-    powers = [1 << d if d < e else field.mul(1 << e - 1, 1 << d - e + 1)
+    """For GF(p^e): per output digit i, the pairs (d, c) with d <= 2e - 2
+    and c the nonzero digit i of x^d, with x^d read off ``field.mul``."""
+    p, e = field.p, field.e
+    powers = [p ** d if d < e else field.mul(p ** (e - 1), p ** (d - e + 1))
               for d in range(2 * e - 1)]
-    return tuple(tuple(d for d, x in enumerate(powers) if x >> i & 1)
-                 for i in range(e))
+    return tuple(tuple((d, c) for d, x in enumerate(powers)
+                       if (c := x // p ** i % p)) for i in range(e))
 
 
 def _mul_planes(terms: tuple, a: List[int], x: List[int]) -> List[int]:
@@ -136,37 +208,76 @@ def _mul_planes(terms: tuple, a: List[int], x: List[int]) -> List[int]:
     out = []
     for ds in terms:
         acc = 0
-        for d in ds:
+        for d, _ in ds:
             acc ^= by_degree[d]
         out.append(acc)
+    return out
+
+
+def _sub3(x: List[int], y: List[int]) -> List[int]:
+    """Lane-wise x - y of GF(3^e) elements held as e plane pairs each."""
+    out = []
+    for x0, x1, y0, y1 in zip(x[::2], x[1::2], y[::2], y[1::2]):
+        out += [(x0 ^ y0) | (x1 ^ y1), (x0 & y0) ^ (x1 | (y0 ^ y1))]
+    return out
+
+
+def _mul_planes3(terms: tuple, a: List[int], x: List[int]) -> List[int]:
+    """Lane-wise product of the GF(3^e) elements held as e plane pairs
+    each; -y is y with its two plane XOR its nonzero plane."""
+    if len(a) == 2:
+        nz = a[0] & x[0]
+        return [nz, nz & (a[1] ^ x[1])]
+    e = len(a) // 2
+    by_degree = [[0, 0] for _ in range(2 * e - 1)]
+    for s in range(e):
+        if a[2 * s]:
+            for t in range(e):
+                nz, two = _mul_planes3(terms, a[2 * s:2 * s + 2],
+                                       x[2 * t:2 * t + 2])
+                by_degree[s + t] = _sub3(by_degree[s + t], [nz, nz ^ two])
+    out = []
+    for ds in terms:
+        acc = [0, 0]
+        for d, c in ds:
+            y = by_degree[d]
+            acc = _sub3(acc, [y[0], y[0] ^ y[1]] if c == 1 else y)
+        out += acc
     return out
 
 
 def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
                 lanes: int) -> List[int]:
     """counts[r] = how many of the lanes hold a k x m matrix of rank r,
-    for a field of characteristic 2.  planes[b] holds bit b of every
-    lane's index and no bit at or above ``lanes``.
+    for a field of characteristic 2 or 3.  planes holds every lane's
+    index as the lane builders lay it out, and no bit at or above
+    ``lanes``.
 
     Forward elimination on all lanes at once, fraction-free, with the
     columns as the vectors reduced and the k rows as pivot positions.
     At row i, column j leads in the lanes L_j = nz(entry) & ~seen, where
     seen covers earlier pivot columns and lanes already led at row i; a
     lane's rank is the number of rows where it found a lead.  Every
-    column j then becomes a X_j + b_j P, with a the pivot entry, P the
+    column j then becomes a X_j - b_j P, with a the pivot entry, P the
     pivot column gathered lane by lane and b_j column j's entry at row
-    i: a single AND for GF(2), an e x e AND/XOR product reduced through
-    the modulus otherwise.  A pivot column cancels itself, and the lanes
-    where a column led at an earlier row are masked out of every later
-    lead and gather, so what the update writes there is never read.
+    i: a single AND for GF(2), otherwise a product of e x e digits
+    reduced through the modulus and a difference, per characteristic.
+    A pivot column cancels itself, and the lanes where a column led at
+    an earlier row are masked out of every later lead and gather, so
+    what the update writes there is never read.
     """
     e = field.e
+    w = e * (field.p - 1)  # planes per entry
     full = (1 << lanes) - 1
-    # col[j][i]: the e planes of entry (i, j)
-    col = [[list(planes[e * (i * m + j): e * (i * m + j) + e])
+    # col[j][i]: the planes of entry (i, j)
+    col = [[list(planes[w * (i * m + j): w * (i * m + j) + w])
             for i in range(k)] for j in range(m)]
     used = [0] * m
-    terms = _product_terms(field) if e > 1 else None
+    if field.p == 2:
+        mul, sub = _mul_planes, lambda x, y: [u ^ v for u, v in zip(x, y)]
+    else:
+        mul, sub = _mul_planes3, _sub3
+    terms = _product_terms(field) if w > 1 else None
     ranked = [full]  # ranked[r]: lanes with at least r leads so far
     for i in range(k):
         found = 0
@@ -187,13 +298,13 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
             ranked[r] |= ranked[r - 1] & found
         if i == k - 1:
             break
-        pivot = [[0] * e for _ in range(i, k)]
+        pivot = [[0] * w for _ in range(i, k)]
         for j, L in enumerate(lead):
             if L:
                 for p, x in zip(pivot, col[j][i:]):
-                    for s in range(e):
+                    for s in range(w):
                         p[s] |= x[s] & L
-        if e == 1:
+        if w == 1:
             for c in col:
                 b = c[i][0]
                 if b:
@@ -206,8 +317,7 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
             b = c[i]
             if any(b):
                 for t, p in enumerate(pivot[1:], i + 1):
-                    c[t] = [u ^ v for u, v in zip(
-                        _mul_planes(terms, a, c[t]), _mul_planes(terms, b, p))]
+                    c[t] = sub(mul(terms, a, c[t]), mul(terms, b, p))
     counts = [x.bit_count() for x in ranked] + [0] * (k + 2 - len(ranked))
     return [counts[r] - counts[r + 1] for r in range(k + 1)]
 

@@ -161,10 +161,10 @@ class RankCode:
         already knows its distribution, it enumerates the smaller of C and
         its dual (C on a tie), so the guard counts that side; the other
         side's distribution is the exact MacWilliams transform of it.  In
-        characteristic 2 every word is a lane of :func:`ambient.rank_counts`;
-        for odd p the enumeration row-reduces only the (|C|-1)/(q-1) words
-        whose last nonzero basis coefficient is 1, each standing for its
-        q-1 nonzero multiples."""
+        characteristic 2 and 3 every word is a lane of
+        :func:`ambient.rank_counts`; for p >= 5 the enumeration row-reduces
+        only the (|C|-1)/(q-1) words whose last nonzero basis coefficient
+        is 1, each standing for its q-1 nonzero multiples."""
         if self._weight_distribution is not None:
             return list(self._weight_distribution)
         if not self.linear:
@@ -186,7 +186,7 @@ class RankCode:
 
     def _enumerated_weights(self) -> List[int]:
         F = self.field
-        if F.p == 2:
+        if F.p <= 3:
             return self._rank_counts(self._lanes(0))
         words = self.word_indices()
         rank = rank_of_index(F, self.k, self.m)
@@ -201,12 +201,12 @@ class RankCode:
         """The weight distribution of C+X for each X indexed by xs, with
         the code expanded once for all of them: each M + X is read from the
         cached rank table up to TABLE_CAP, and above it characteristic 2
-        ranks lanes and odd p ranks M + X word by word."""
+        and 3 rank lanes and p >= 5 ranks M + X word by word."""
         check_guard(self.cardinality(), "coset enumeration over {count} "
                     "codewords exceeds the guard {guard}")
         F, k, m = self.field, self.k, self.m
         above_cap = F.q ** (k * m) > TABLE_CAP
-        if F.p == 2 and above_cap:
+        if F.p <= 3 and above_cap:
             return [self._rank_counts(self._lanes(x)) for x in xs]
         rank = (rank_of_index(F, k, m) if above_cap
                 else rank_table(F, k, m).__getitem__)
@@ -216,8 +216,8 @@ class RankCode:
     def _shifted_weights(self, words: Iterable[int], x: int,
                          rank) -> List[int]:
         """How many of the indices w + x, w in words, have each rank under
-        rank: the word-by-word pass behind translates and odd-p weights
-        and set pairs."""
+        rank: the word-by-word pass behind translates below TABLE_CAP and
+        the weights and set pairs of p >= 5."""
         F = self.field
         W = [0] * (self.k + 1)
         for w in words:
@@ -225,15 +225,16 @@ class RankCode:
         return W
 
     def _lanes(self, x: int):
-        """Lane chunks of the words of C+X, X indexed by x, for p = 2:
+        """Lane chunks of the words of C+X, X indexed by x, for p <= 3:
         a linear code's span lanes start at x, so it lists no words."""
         F = self.field
         nbits = self.k * self.m * F.e
         if self.linear:
-            return span_lanes([mat_index(B.scale(1 << s))
+            return span_lanes([mat_index(B.scale(F.p ** s))
                                for B in self.basis for s in range(F.e)],
-                              nbits, x)
-        return word_lanes([w ^ x for w in self.word_indices()], nbits)
+                              nbits, x, F.p)
+        return word_lanes([add_index(F, w, x) for w in self.word_indices()],
+                          nbits, F.p)
 
     def _rank_counts(self, chunks) -> List[int]:
         """How many lanes of the (planes, lanes) chunks have each rank."""
@@ -249,10 +250,10 @@ class RankCode:
         pairs counted at i = 0; |C| W for a linear code.
 
         A set ranks its pairs once, guarded by the n(n-1)/2 unordered
-        pairs.  In characteristic 2 every ordered pair, (a, a) included,
-        is a lane of :func:`ambient.pair_lanes`; otherwise each unordered
-        pair {a, b} is ranked once, in the weights of the b after a
-        shifted by -a, and counted twice."""
+        pairs.  In characteristic 2 and 3 every ordered pair, (a, a)
+        included, is a lane of :func:`ambient.pair_lanes`; otherwise each
+        unordered pair {a, b} is ranked once, in the weights of the b
+        after a shifted by -a, and counted twice."""
         if self.linear:
             n = self.cardinality()
             return [n * w for w in self.weight_distribution()]
@@ -261,8 +262,9 @@ class RankCode:
             check_guard(n * (n - 1) // 2, "too many codeword pairs")
             F = self.field
             idx = [mat_index(M) for M in self.words]
-            if F.p == 2:
-                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e))
+            if F.p <= 3:
+                P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e,
+                                                 F.p))
             else:  # rank(b - a) = rank(a - b): the b after a, shifted by -a
                 rank = rank_of_index(F, self.k, self.m)
                 P = [n] + [0] * self.k

@@ -64,17 +64,20 @@ _CHUNK_CAP = 1 << 13
 def _chunk_sums(p: int) -> tuple:
     """(P, table) for odd p: P = p^c for the largest c >= 1 with P^2
     within the cap, and table[x * P + y] the digit-wise mod-p sum of
-    x, y < P, built on first use.  The table is None when p^2 alone
-    exceeds the cap."""
+    x, y < P, built on first use one top digit at a time.  The table is
+    None when p^2 alone exceeds the cap."""
     c = 1
     while p ** (2 * c + 2) <= _CHUNK_CAP:
         c += 1
     P = p ** c
     if P * P > _CHUNK_CAP:
         return P, None
-    return P, [undigits([(s + t) % p for s, t in zip(digits(x, p, c),
-                                                      digits(y, p, c))], p)
-               for x in range(P) for y in range(P)]
+    rows = [[0]]  # rows[x][y]: the sum of x, y < p^j, from j = 0
+    for w in (p ** j for j in range(c)):
+        # x + d w plus y + f w is rows[x][y] + ((d + f) mod p) w
+        rows = [[s + (d + f) % p * w for f in range(p) for s in row]
+                for d in range(p) for row in rows]
+    return P, [s for row in rows for s in row]
 
 
 def add_index(field: FieldSpec, a: int, b: int) -> int:

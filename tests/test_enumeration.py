@@ -1,10 +1,11 @@
 """The index-native codeword pass against the Mat path.
 
 Codewords are enumerated as ambient indices and their ranks read from
-``matlin.rank_of_index`` or, in characteristic 2, counted lane-parallel
-by ``ambient.rank_counts``; here every result is compared with the same
-quantity computed on ``Mat`` objects: the span expanded by matrix
-addition, and ranks from ``matlin.rank`` and from the RREF pivot count.
+``matlin.rank_of_index`` or, in characteristic 2 and 3, counted
+lane-parallel by ``ambient.rank_counts``; here every result is compared
+with the same quantity computed on ``Mat`` objects: the span expanded by
+matrix addition, and ranks from ``matlin.rank`` and from the RREF pivot
+count.
 """
 
 import gc
@@ -137,11 +138,27 @@ def test_set_invariants_share_one_pair_pass(monkeypatch):
         return lambda idx: calls.append(idx) or inner(idx)
 
     monkeypatch.setattr(codes, "rank_of_index", counting)
-    C = random_code(field_from_order(3), 2, 3, 9, 5)
+    C = random_code(field_from_order(5), 2, 3, 9, 5)
     C.min_distance()
     C.distance_distribution()
     external_distance(C)
     assert len(calls) == 9 * 8 // 2
+
+
+def test_ternary_set_invariants_share_one_lane_pass(monkeypatch):
+    passes = []
+
+    def counting_lanes(field, k, m, planes, lanes):
+        passes.append(lanes)
+        return rank_counts(field, k, m, planes, lanes)
+
+    monkeypatch.setattr(codes, "rank_counts", counting_lanes)
+    monkeypatch.setattr(codes, "rank_of_index", None)  # no per-word rank
+    C = random_code(field_from_order(3), 2, 3, 9, 5)
+    C.min_distance()
+    C.distance_distribution()
+    external_distance(C)
+    assert passes == [9 * 9]  # every ordered pair, in one pass
 
 
 def test_odd_set_weights_and_pairs_build_no_rank_table(monkeypatch):
@@ -272,7 +289,7 @@ def count_ranked_words(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 9))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
 def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
     calls = count_ranked_words(monkeypatch)
     for C in pair_codes(q):
@@ -285,7 +302,7 @@ def test_pair_enumerates_only_the_smaller_side(q, monkeypatch):
             A.dual().weight_distribution()
             external_distance(A)
             small = min(A.cardinality(), A.dual().cardinality())
-            if q % 2:  # the projective words
+            if A.field.p >= 5:  # the projective words
                 assert len(calls) == (small - 1) // (q - 1)
             else:  # every word is a lane
                 assert len(calls) == small
