@@ -177,7 +177,8 @@ def pair_lanes(words: Sequence[int], nbits: int,
             continue
         out = []
         for nz, two in zip(planes[::2], planes[1::2]):
-            # the rows where -a has digit 1 (a has 2) and digit 2 (a has 1)
+            # the rows where -a has digit 1 (a has 2), 2 (a has 1) and 0;
+            # m_d times the word planes plus d fills the rows of digit d
             m1, m2 = spread(two), spread(nz ^ two)
             m0 = rep ^ m1 ^ m2
             for d0, d1, d2 in zip((nz, two), _shift3(nz, two, 1, ones),

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from rankcov.ambient import index_to_mat, mat_index, rank_balls, rank_table
-from rankcov.gfield import add_index, digits, field_from_order, undigits
+from rankcov.gfield import (_CHUNK_CAP, _chunk_sums, add_index, digits,
+                            field_from_order, undigits)
 from rankcov.matlin import rank
 
 # every shape k <= m with q^(km) <= 2^12, k = 1 and k = m included
@@ -62,6 +63,21 @@ def test_add_index_xor_matches_digitwise_add(q):
         a, b = rng.randrange(q ** 6), rng.randrange(q ** 6)
         total = [F.add(x, y) for x, y in zip(digits(a, q, 6), digits(b, q, 6))]
         assert add_index(F, a, b) == a ^ b == undigits(total, q)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 97])
+def test_chunk_sums_match_the_digitwise_table(p):
+    P, table = _chunk_sums.__wrapped__(p)  # built afresh, not the cache
+    if p == 97:  # 97^2 entries exceed the cap: add_index adds digit by digit
+        assert (P, table) == (97, None)
+        return
+    c = 1
+    while p ** c < P:
+        c += 1
+    assert P == p ** c and P * P <= _CHUNK_CAP < P * P * p * p
+    assert table == [undigits([(s + t) % p for s, t in zip(digits(x, p, c),
+                                                          digits(y, p, c))], p)
+                     for x in range(P) for y in range(P)]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 27, 1031])
