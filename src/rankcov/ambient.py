@@ -21,7 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .gfield import FieldSpec, digits, undigits
+from .gfield import (FieldSpec, add_index, digits, make_field, planes3,
+                     sub3, undigits)
 from .matlin import Mat
 
 
@@ -70,57 +71,51 @@ def _shift3(nz: int, two: int, d: int, full: int) -> Tuple[int, int]:
 def span_lanes(basis: Sequence[int], nbits: int, start: int = 0,
                p: int = 2) -> Iterator[Tuple[List[int], int]]:
     """Chunks holding start plus every F_p-combination of the indices in
-    basis: lane w is start plus w_j basis[j] over the base-p digits w_j
-    of w.  For p = 2, plane b of the low chunk is the XOR of the patterns
-    P_j over the basis[j] with bit b set; for p = 3 the low chunk triples
-    once per basis vector v, its lanes followed by the same lanes plus v
-    and plus 2v.  Each chunk adds start plus some high basis vectors, a
-    constant."""
-    if p == 3:
-        yield from _span3(basis, nbits, start)
-        return
-    low, high = basis[:LANE_BITS], basis[LANE_BITS:]
-    lanes = 1 << len(low)
-    full = (1 << lanes) - 1
-    planes = [0] * nbits
-    for v, P in zip(low, _lane_patterns(len(low))):
-        for b in range(v.bit_length()):
-            if v >> b & 1:
-                planes[b] ^= P
-    consts = [start]
-    for v in high:
-        consts += [c ^ v for c in consts]
-    for c in consts:
-        yield [x ^ full if c >> b & 1 else x for b, x in enumerate(planes)], lanes
-
-
-def _span3(basis: Sequence[int], nbits: int,
-           start: int) -> Iterator[Tuple[List[int], int]]:
-    """:func:`span_lanes` for p = 3."""
-    vecs = [digits(v, 3, nbits) for v in basis]
+    basis, lane w holding start plus w_j basis[j] over the base-p digits
+    w_j of w: the low chunk, over the first vectors, plus each constant."""
     low = 0
-    while 3 ** (low + 1) <= 1 << LANE_BITS:
+    while p ** (low + 1) <= 1 << LANE_BITS:
         low += 1
+    planes, lanes = _low_lanes(tuple(basis[:low]), nbits, p)
+    full = (1 << lanes) - 1
+    F = make_field(p)
+    consts = [start]
+    for v in basis[low:]:
+        consts += [add_index(F, c, s) for s in (v, add_index(F, v, v))[:p - 1]
+                   for c in consts]
+    for c in consts:
+        if p == 2:
+            yield [x ^ full if c >> b & 1 else x
+                   for b, x in enumerate(planes)], lanes
+            continue
+        out = []
+        for nz, two, d in zip(planes[::2], planes[1::2], digits(c, 3, nbits)):
+            out += _shift3(nz, two, d, full)
+        yield out, lanes
+
+
+@lru_cache(maxsize=1)
+def _low_lanes(low: Tuple[int, ...], nbits: int, p: int) -> tuple:
+    """The chunk of every F_p-combination of low, kept for the next call:
+    plane b XORs the P_j with bit b in low[j], or p = 3 triples per v."""
+    if p == 2:
+        planes = [0] * nbits
+        for v, P in zip(low, _lane_patterns(len(low))):
+            for b in range(v.bit_length()):
+                if v >> b & 1:
+                    planes[b] ^= P
+        return tuple(planes), 1 << len(low)
     planes, lanes = [0] * (2 * nbits), 1
-    for v in vecs[:low]:
+    for v in low:
         full = (1 << lanes) - 1
         out = []
-        for nz, two, d in zip(planes[::2], planes[1::2], v):
+        for nz, two, d in zip(planes[::2], planes[1::2], digits(v, 3, nbits)):
             (a0, a1), (b0, b1) = (_shift3(nz, two, d, full),
                                   _shift3(nz, two, 2 * d % 3, full))
             out += [nz | (a0 | b0 << lanes) << lanes,
                     two | (a1 | b1 << lanes) << lanes]
         planes, lanes = out, 3 * lanes
-    full = (1 << lanes) - 1
-    consts = [digits(start, 3, nbits)]
-    for v in vecs[low:]:
-        consts += [tuple((x + s * y) % 3 for x, y in zip(c, v))
-                   for s in (1, 2) for c in consts]
-    for c in consts:
-        out = []
-        for nz, two, d in zip(planes[::2], planes[1::2], c):
-            out += _shift3(nz, two, d, full)
-        yield out, lanes
+    return tuple(planes), lanes
 
 
 def _planes(words: Sequence[int], nbits: int, p: int = 2) -> List[int]:
@@ -129,12 +124,9 @@ def _planes(words: Sequence[int], nbits: int, p: int = 2) -> List[int]:
     if p == 2:
         rows = [format(x, f"0{nbits}b") for x in reversed(words)]
         return [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
-    nonzero = bytes.maketrans(b"\0\1\2", b"011")
-    two = bytes.maketrans(b"\0\1\2", b"001")
     out = []
-    for col in zip(*[digits(x, 3, nbits) for x in reversed(words)]):
-        col = bytes(col)
-        out += [int(col.translate(nonzero), 2), int(col.translate(two), 2)]
+    for col in zip(*[digits(x, 3, nbits) for x in words]):
+        out += planes3(col)
     return out
 
 
@@ -215,14 +207,6 @@ def _mul_planes(terms: tuple, a: List[int], x: List[int]) -> List[int]:
     return out
 
 
-def _sub3(x: List[int], y: List[int]) -> List[int]:
-    """Lane-wise x - y of GF(3^e) elements held as e plane pairs each."""
-    out = []
-    for x0, x1, y0, y1 in zip(x[::2], x[1::2], y[::2], y[1::2]):
-        out += [(x0 ^ y0) | (x1 ^ y1), (x0 & y0) ^ (x1 | (y0 ^ y1))]
-    return out
-
-
 def _mul_planes3(terms: tuple, a: List[int], x: List[int]) -> List[int]:
     """Lane-wise product of the GF(3^e) elements held as e plane pairs
     each; -y is y with its two plane XOR its nonzero plane."""
@@ -236,13 +220,13 @@ def _mul_planes3(terms: tuple, a: List[int], x: List[int]) -> List[int]:
             for t in range(e):
                 nz, two = _mul_planes3(terms, a[2 * s:2 * s + 2],
                                        x[2 * t:2 * t + 2])
-                by_degree[s + t] = _sub3(by_degree[s + t], [nz, nz ^ two])
+                by_degree[s + t] = sub3(*by_degree[s + t], nz, nz ^ two)
     out = []
     for ds in terms:
         acc = [0, 0]
         for d, c in ds:
             y = by_degree[d]
-            acc = _sub3(acc, [y[0], y[0] ^ y[1]] if c == 1 else y)
+            acc = sub3(*acc, y[0], y[1] ^ y[0] * (c == 1))  # + c y
         out += acc
     return out
 
@@ -277,7 +261,11 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     if field.p == 2:
         mul, sub = _mul_planes, lambda x, y: [u ^ v for u, v in zip(x, y)]
     else:
-        mul, sub = _mul_planes3, _sub3
+        mul = _mul_planes3
+
+        def sub(x, y):  # e plane pairs each
+            return [z for i in range(0, len(x), 2)
+                    for z in sub3(x[i], x[i + 1], y[i], y[i + 1])]
     terms = _product_terms(field) if w > 1 else None
     ranked = [full]  # ranked[r]: lanes with at least r leads so far
     for i in range(k):

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
                       rank_table, span_lanes, word_lanes)
-from .gfield import FieldSpec, add_index
+from .gfield import FieldSpec, add_index, scale_index
 from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
 
@@ -41,25 +41,21 @@ def check_guard(count: int, message: str) -> None:
 class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
-    __slots__ = ("field", "k", "m", "linear", "span", "basis", "words",
-                 "_weight_distribution", "_pair_counts", "_dual")
+    __slots__ = ("field", "k", "m", "linear", "span", "_basis", "words",
+                 "_weight_distribution", "_pair_counts", "_min_distance",
+                 "_dual")
 
     def __init__(self, field: FieldSpec, k: int, m: int, *,
                  span: Optional[Subspace] = None,
                  words: Optional[Tuple[Mat, ...]] = None):
         if k > m:
             raise ValueError("the standing assumption k <= m is violated")
-        self.field = field
-        self.k = k
-        self.m = m
+        self.field, self.k, self.m = field, k, m
         self.linear = span is not None
         self.span = span
-        self.basis = (None if span is None
-                      else tuple(Mat._of(field, k, m, r) for r in span.basis))
         self.words = words
-        self._weight_distribution = None
-        self._pair_counts = None
-        self._dual = None
+        self._basis = self._weight_distribution = self._pair_counts = None
+        self._min_distance = self._dual = None
 
     # -- constructors --
 
@@ -99,35 +95,34 @@ class RankCode:
     # -- basic parameters --
 
     @property
+    def basis(self) -> Optional[Tuple[Mat, ...]]:
+        """A linear code's RREF basis as matrices, decoded on first read."""
+        if self._basis is None and self.linear:
+            self._basis = tuple(Mat._of(self.field, self.k, self.m, r)
+                                for r in self.span.basis)
+        return self._basis
+
+    @property
     def dim(self) -> int:
         if not self.linear:
             raise ValueError("dimension is defined for linear codes only")
-        return len(self.basis)
+        return self.span.dim
 
     def cardinality(self) -> int:
         if self.linear:
-            return self.field.q ** len(self.basis)
+            return self.field.q ** self.span.dim
         return len(self.words)
 
     def is_full_space(self) -> bool:
         return self.cardinality() == self.field.q ** (self.k * self.m)
 
     def word_indices(self) -> List[int]:
-        """The ambient index of every codeword.  A linear code is expanded
-        basis by basis, so words[q^j : 2q^j] are the words whose last
-        nonzero basis coefficient is 1."""
+        """The ambient index of every codeword, for a linear code in the
+        order of :meth:`matlin.Subspace.indices`."""
         if not self.linear:
             return [mat_index(M) for M in self.words]
         check_guard(self.cardinality(), "code has {count} words, guard is {guard}")
-        F = self.field
-        words = [0]
-        for B in self.basis:
-            scaled = [mat_index(B.scale(c)) for c in range(1, F.q)]
-            if F.p == 2:
-                words += [w ^ s for s in scaled for w in words]
-            else:
-                words += [add_index(F, w, s) for s in scaled for w in words]
-        return words
+        return self.span.indices()
 
     def codewords(self) -> Iterator[Mat]:
         """All codewords, in the order of :meth:`word_indices`."""
@@ -148,11 +143,14 @@ class RankCode:
     # -- metric invariants --
 
     def min_distance(self) -> int:
-        """The least i >= 1 with a pair of codewords at distance i."""
-        if self.cardinality() < 2:
-            raise ValueError("minimum distance needs at least two codewords")
-        P = self.distance_counts()
-        return next(i for i in range(1, self.k + 1) if P[i])
+        """The least i >= 1 with a pair of codewords at distance i, read
+        once off the weights or pairs."""
+        if self._min_distance is None:
+            if self.cardinality() < 2:
+                raise ValueError("minimum distance needs at least two codewords")
+            P = self.weight_distribution() if self.linear else self.distance_counts()
+            self._min_distance = next(i for i in range(1, self.k + 1) if P[i])
+        return self._min_distance
 
     def weight_distribution(self) -> List[int]:
         """W_i = number of codewords of rank i.
@@ -193,7 +191,7 @@ class RankCode:
         if not self.linear:
             return self._shifted_weights(words, 0, rank)
         q = F.q
-        W = self._shifted_weights((w for j in range(len(self.basis))
+        W = self._shifted_weights((w for j in range(self.span.dim)
                                    for w in words[q ** j: 2 * q ** j]), 0, rank)
         return [1] + [(q - 1) * w for w in W[1:]]
 
@@ -227,14 +225,13 @@ class RankCode:
     def _lanes(self, x: int):
         """Lane chunks of the words of C+X, X indexed by x, for p <= 3:
         a linear code's span lanes start at x, so it lists no words."""
-        F = self.field
-        nbits = self.k * self.m * F.e
+        F, n = self.field, self.k * self.m
         if self.linear:
-            return span_lanes([mat_index(B.scale(F.p ** s))
-                               for B in self.basis for s in range(F.e)],
-                              nbits, x, F.p)
+            return span_lanes([scale_index(F, F.p ** s, row, n)
+                               for row in self.span.rows for s in range(F.e)],
+                              n * F.e, x, F.p)
         return word_lanes([add_index(F, w, x) for w in self.word_indices()],
-                          nbits, F.p)
+                          n * F.e, F.p)
 
     def _rank_counts(self, chunks) -> List[int]:
         """How many lanes of the (planes, lanes) chunks have each rank."""
@@ -338,7 +335,7 @@ class RankCode:
 
     def _key(self):
         if self.linear:
-            return (self.field, self.k, self.m, "lin", self.span.basis)
+            return (self.field, self.k, self.m, "lin", self.span.rows)
         return (self.field, self.k, self.m, "set",
                 tuple(M.entries for M in self.words))
 

@@ -35,12 +35,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"  # digits as int() reads them
+_FROM_CHARS = bytes.maketrans(_CHARS, bytes(range(36)))
+_TO_CHARS = bytes.maketrans(bytes(range(36)), _CHARS)
+_FORMATS = {2: "b", 8: "o", 16: "x"}
+
+
 def digits(code: int, base: int, n: int) -> Tuple[int, ...]:
     """The n base-`base` digits of code, low digit first.
 
     This little-endian codec encodes field elements (digits over GF(p))
     and ambient matrices (row-major entries over GF(q)) alike.
     """
+    if base in _FORMATS:  # format writes the high digit first
+        text = format(code, f"0{n}{_FORMATS[base]}").encode()
+        return tuple(text.translate(_FROM_CHARS)[::-1][:n])
     out = []
     for _ in range(n):
         out.append(code % base)
@@ -50,6 +59,8 @@ def digits(code: int, base: int, n: int) -> Tuple[int, ...]:
 
 def undigits(values, base: int) -> int:
     """Inverse of :func:`digits`: the number with digit t = values[t]."""
+    if base <= 36:  # int parses the digits, high first
+        return int(bytes(values)[::-1].translate(_TO_CHARS) or b"0", base)
     code = 0
     for d in reversed(tuple(values)):
         code = code * base + d
@@ -102,6 +113,36 @@ def add_index(field: FieldSpec, a: int, b: int) -> int:
         b //= P
         mult *= P
     return out
+
+
+def scale_index(field: FieldSpec, c: int, v: int, n: int) -> int:
+    """The index of c times the n-entry vector indexed by v: for p = 2 the
+    bits s of v's entries times c x^s, and no carry crosses entries."""
+    if c < 2:
+        return c * v
+    if field.p == 2:
+        ones = ((1 << field.e * n) - 1) // (field.q - 1)  # bit e t, t < n
+        out = 0
+        for s in range(field.e):
+            out ^= (v >> s & ones) * field.mul(c, 1 << s)
+        return out
+    return undigits([field.mul(c, x) for x in digits(v, field.q, n)], field.q)
+
+
+_NONZERO3, _TWO3 = (bytes.maketrans(b"\0\1\2", t) for t in (b"011", b"001"))
+
+
+def planes3(values) -> Tuple[int, int]:
+    """Bit t of the planes: values[t] (a GF(3) digit) is nonzero, is 2."""
+    text = bytes(values)[::-1]
+    return (int(text.translate(_NONZERO3) or b"0", 2),
+            int(text.translate(_TWO3) or b"0", 2))
+
+
+def sub3(x0: int, x1: int, y0: int, y1: int) -> Tuple[int, int]:
+    """Bitwise x - y over GF(3) on plane pairs (bit w: element w is nonzero,
+    is 2), where -y is (y0, y0 ^ y1) (Boothby and Bradshaw, 0901.1413)."""
+    return (x0 ^ y0) | (x1 ^ y1), (x0 & y0) ^ (x1 | (y0 ^ y1))
 
 
 # Polynomials over a coefficient field F (anything with q/add/sub/mul/inv)

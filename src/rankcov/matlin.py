@@ -5,21 +5,21 @@ codes.  Subspaces of F_q^n are kept in reduced row-echelon form, which
 makes equality a plain tuple comparison and gives a canonical
 enumeration order.
 
-Elimination (RREF, rank, membership) runs on packed rows in
-characteristic 2: a row over GF(2^e) is one int with entry t in bits
-[e t, e t + e), the codec of :func:`gfield.digits` and so of ambient
-indices, and adding rows is XOR.  Odd p eliminates rows of element codes.
-:func:`rank_of_index` ranks a k x m matrix from its ambient index.
+A Subspace keeps each RREF row as its ambient index, the codec of
+:func:`gfield.digits`, and decodes rows to element codes only when its
+``basis`` is read.  Elimination runs on packed rows: one int per row in
+characteristic 2, where adding rows is XOR, and a pair of bit planes per
+row over GF(3); other fields eliminate lists of element codes.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .gfield import FieldSpec, digits, undigits
+from .gfield import (FieldSpec, add_index, digits, planes3, scale_index,
+                     sub3, undigits)
 
 
 class Mat:
@@ -144,29 +144,33 @@ class Mat:
 
 
 class Subspace:
-    """A subspace of F_q^n, basis in reduced row-echelon form."""
+    """A subspace of F_q^n: the pivots and ambient indices (``rows``) of
+    its RREF basis, decoded to element codes (``basis``) on first read."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_basis")
 
     def __init__(self, field: FieldSpec, ambient: int,
                  basis: Sequence[Sequence[int]]):
         rows = [tuple(r) for r in basis]
         _check_rows(field, ambient, rows)
-        rows, pivots = _rref_rows(field, rows)
-        self.field = field
-        self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.field, self.ambient, self._basis = field, ambient, None
+        self.rows, self.pivots = _rref(field, ambient, rows)
 
     @classmethod
-    def _of(cls, field: FieldSpec, ambient: int, basis: Iterable[Sequence[int]],
+    def _of(cls, field: FieldSpec, ambient: int, rows: Iterable[int],
             pivots: Iterable[int]) -> "Subspace":
-        """A subspace whose rows are an RREF basis with the given pivots by
-        construction: no checks, no elimination."""
+        """Rows that index an RREF basis with these pivots: no checks."""
         S = object.__new__(cls)
-        S.field, S.ambient = field, ambient
-        S.basis, S.pivots = tuple(map(tuple, basis)), tuple(pivots)
+        S.field, S.ambient, S._basis = field, ambient, None
+        S.rows, S.pivots = tuple(rows), tuple(pivots)
         return S
+
+    @classmethod
+    def of_indices(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
+        """The span of the vectors indexed by rows (packed in char. 2)."""
+        if field.p == 2:
+            return cls._of(field, ambient, *_rref(field, ambient, rows, True))
+        return cls(field, ambient, [digits(r, field.q, ambient) for r in rows])
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -174,64 +178,76 @@ class Subspace:
 
     @classmethod
     def full(cls, field: FieldSpec, ambient: int) -> "Subspace":
-        rows = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
-        return cls._of(field, ambient, rows, range(ambient))
+        return cls._of(field, ambient, [field.q ** i for i in range(ambient)],
+                       range(ambient))
+
+    @property
+    def basis(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._basis is None:
+            self._basis = tuple(digits(r, self.field.q, self.ambient)
+                                for r in self.rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """vec adds nothing to the rank of the basis rows."""
-        rows = self.basis + (tuple(vec),)
-        _check_rows(self.field, self.ambient, rows[-1:])
-        return rank(Mat._of(self.field, len(rows), self.ambient,
-                            tuple(itertools.chain(*rows)))) == self.dim
+        _check_rows(self.field, self.ambient, [vec])
+        rows = (self.rows + (undigits(vec, self.field.q),) if self.field.p == 2
+                else self.basis + (tuple(vec),))
+        return len(_echelon(self.field, self.ambient, rows, True)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
 
     def orthogonal(self) -> "Subspace":
         """Orthogonal complement under the standard dot product, read off
-        the RREF: free column f gives e_f minus the rows' entries at f."""
-        F = self.field
+        the RREF: free column f gives e_f minus the rows' entries at f,
+        and only rows with a pivot before f have one."""
+        F, n, q = self.field, self.ambient, self.field.q
         out = []
-        for f in range(self.ambient):
+        for f in range(n):
             if f not in self.pivots:
-                v = [0] * self.ambient
+                v, w = [0] * n, q ** f
                 v[f] = 1
-                for row, p in zip(self.basis, self.pivots):
-                    v[p] = F.neg(row[f])
+                for row, p in zip(self.rows, self.pivots):
+                    if p > f:
+                        break
+                    v[p] = F.neg(row // w % q)
                 out.append(v)
-        return Subspace(F, self.ambient, out)
+        return Subspace._of(F, n, *_rref(F, n, out))
 
     def zero_head(self, h: int) -> "Subspace":
         """The vectors whose first h coordinates vanish, those coordinates
         dropped: the tails of the RREF rows whose pivot is at h or
         beyond, which are already in RREF."""
-        kept = [(r[h:], p - h) for r, p in zip(self.basis, self.pivots)
-                if p >= h]
-        return Subspace._of(self.field, self.ambient - h,
-                            [r for r, _ in kept], [p for _, p in kept])
+        i, w = sum(p < h for p in self.pivots), self.field.q ** h
+        return Subspace._of(self.field, self.ambient - h, [
+            r // w for r in self.rows[i:]], [p - h for p in self.pivots[i:]])
+
+    def indices(self) -> List[int]:
+        """The index of every vector, expanded row by row: [q^j, 2 q^j)
+        holds those whose last nonzero coefficient, on row j, is 1."""
+        F, out = self.field, [0]
+        for row in self.rows:
+            scaled = [scale_index(F, c, row, self.ambient)
+                      for c in range(1, F.q)]
+            out += [w ^ s if F.p == 2 else add_index(F, w, s)
+                    for s in scaled for w in out]
+        return out
 
     def vectors(self) -> Iterator[Tuple[int, ...]]:
-        """All q^dim vectors of the subspace."""
-        F = self.field
-        for coeffs in itertools.product(F.elements(), repeat=self.dim):
-            v = [0] * self.ambient
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = F.add(v[j], F.mul(c, x))
-            yield tuple(v)
+        """All q^dim vectors of the subspace, in the order of indices."""
+        return (digits(w, self.field.q, self.ambient) for w in self.indices())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.basis == other.basis)
+                and self.ambient == other.ambient and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
@@ -241,118 +257,103 @@ def _check_rows(field: FieldSpec, n: int, rows: Sequence[Sequence[int]]) -> None
     """Raise ValueError unless every row holds n element codes in [0, q):
     a packed row has no room for a longer row or a larger code."""
     codes = set().union(*rows)
-    if (any(len(r) != n for r in rows) or min(codes, default=0) < 0
+    if ({len(r) for r in rows} - {n} or min(codes, default=0) < 0
             or max(codes, default=0) >= field.q):
         raise ValueError(f"vectors of GF({field.q})^{n} need {n} element "
                          f"codes in [0, {field.q})")
 
 
-def _rref_rows(field: FieldSpec, rows: Sequence[Sequence[int]]):
-    """RREF of rows of element codes, all of one length: (nonzero rows,
-    pivot columns).  The echelon rows, packed in characteristic 2, then
-    back-substitution from the rightmost pivot."""
-    if not rows:
-        return [], []
-    n, q, e = len(rows[0]), field.q, field.e
-    if field.p != 2:
-        basis = _echelon_digits(field, rows)
-        pivots = sorted(basis)
-        mul, sub = field.mul, field.sub
-        for i in reversed(range(len(pivots))):
-            t, b = pivots[i], basis[pivots[i]]
-            for s in pivots[:i]:
-                c = basis[s][t]
-                if c:
-                    basis[s] = [sub(x, mul(c, y)) for x, y in zip(basis[s], b)]
-        return [basis[t] for t in pivots], pivots
-    ones = ((1 << e * n) - 1) // (q - 1)
-    basis = _echelon(field, n, [undigits(r, q) for r in rows])
-    pivots = sorted(basis)
-    for i in reversed(range(len(pivots))):
-        t, b = pivots[i], basis[pivots[i]]
-        for s in pivots[:i]:
-            c = basis[s] >> e * t & q - 1
-            if c:
-                basis[s] ^= b if c == 1 else _scaled(field, ones, c, b)
-    return [digits(basis[t], q, n) for t in pivots], pivots
-
-
-def rref(M: Mat) -> Mat:
-    rows, _ = _rref_rows(M.field, M.rows())
-    rows += [[0] * M.m for _ in range(M.k - len(rows))]
-    return Mat.from_rows(M.field, rows)
-
-
-def rank(M: Mat) -> int:
-    if M.field.p == 2:
-        return _rank_packed(M.field, M.k, M.m, undigits(M.entries, M.field.q))
-    return len(_echelon_digits(M.field, M.rows()))
-
-
-def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
-    """The rank of a k x m matrix as a function of its ambient index.
-
-    Each call eliminates the matrix's rows: packed rows in characteristic
-    2, rows of digits otherwise.  Nothing of size q^(km) is built or read.
-    """
-    if field.p == 2:
-        return partial(_rank_packed, field, k, m)
-    return lambda idx: rank(Mat._of(field, k, m, digits(idx, field.q, k * m)))
-
-
-def _rank_packed(field: FieldSpec, k: int, m: int, idx: int) -> int:
-    """Rank of the k x m matrix over GF(2^e) with ambient index idx: its
-    packed rows are the index's slices of e m bits."""
-    w = field.e * m
-    rows = [idx >> s & (1 << w) - 1 for s in range(0, k * w, w)]
-    return len(_echelon(field, m, rows))
-
-
-def _echelon_digits(field: FieldSpec,
-                    rows: Iterable[Sequence[int]]) -> Dict[int, List[int]]:
-    """:func:`_echelon` on rows of element codes, for odd p."""
-    mul, inv, sub = field.mul, field.inv, field.sub
-    basis = {}
-    for v in rows:
-        for t in range(len(v)):
-            c = v[t]
-            if c:
+def _echelon(field: FieldSpec, n: int, rows: Iterable,
+             packed: bool = False) -> Dict[int, object]:
+    """Forward elimination of rows of n element codes (indices in char. 2
+    if packed): {pivot column: row}, 1 at its pivot and 0 before it, held
+    as its index in characteristic 2, where adding is XOR, as the planes
+    (entry t is nonzero, is 2) of the ternary lanes over GF(3), else as
+    a list of element codes."""
+    if field.q == 3:
+        basis = {}
+        for nz, two in map(planes3, rows):
+            while nz:
+                t = (nz & -nz).bit_length() - 1
                 b = basis.get(t)
-                if b is None:
-                    basis[t] = v if c == 1 else [mul(inv(c), x) for x in v]
+                if b is None:  # 2 v = -v, and v - 2 b = v - (-b)
+                    basis[t] = (nz, nz ^ two if two >> t & 1 else two)
                     break
-                v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
-    return basis
-
-
-def _scaled(field: FieldSpec, ones: int, c: int, v: int) -> int:
-    """c times the packed row v: one product per bit s of an entry, the
-    bits s of v's entries times c x^s, and no carry crosses entries."""
-    out = 0
-    for s in range(field.e):
-        out ^= (v >> s & ones) * field.mul(c, 1 << s)
-    return out
-
-
-def _echelon(field: FieldSpec, n: int, rows: Iterable[int]) -> Dict[int, int]:
-    """Forward elimination of packed rows of n entries over GF(2^e):
-    {pivot column: row}, each row 1 at its pivot and 0 before it.  The
-    leftmost nonzero entry of a packed row holds its lowest set bit, and
-    adding rows is XOR."""
+                nz, two = sub3(nz, two, b[0], b[1] ^ b[0] * (two >> t & 1))
+        return basis
+    if field.p != 2:
+        mul, inv, sub = field.mul, field.inv, field.sub
+        basis = {}
+        for v in rows:
+            for t in range(n):
+                c = v[t]
+                if c:
+                    b = basis.get(t)
+                    if b is None:
+                        basis[t] = [mul(inv(c), x) for x in v]
+                        break
+                    v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+        return basis
     e, mask = field.e, field.q - 1
-    ones = ((1 << e * n) - 1) // mask  # bit e t for every entry t
     basis = {}
-    for v in rows:
+    for v in rows if packed else [undigits(r, mask + 1) for r in rows]:
         while v:
             t = ((v & -v).bit_length() - 1) // e
             c = v >> e * t & mask
             b = basis.get(t)
             if b is None:
-                basis[t] = v if c == 1 else _scaled(field, ones,
-                                                    field.inv(c), v)
+                basis[t] = v if c == 1 else scale_index(field, field.inv(c),
+                                                        v, n)
                 break
-            v ^= b if c == 1 else _scaled(field, ones, c, b)
+            v ^= b if c == 1 else scale_index(field, c, b, n)
     return basis
+
+
+def _rref(field: FieldSpec, n: int, rows: Iterable, packed: bool = False):
+    """RREF of rows of n element codes, or of indices in characteristic 2
+    if packed: (its rows' indices, pivot columns).  Forward elimination,
+    then back-substitution from the rightmost pivot."""
+    q, e = field.q, field.e
+    basis = _echelon(field, n, rows, packed)
+    pivots = sorted(basis)
+    for i in reversed(range(len(pivots))):
+        t, b = pivots[i], basis[pivots[i]]
+        for s in pivots[:i]:
+            v = basis[s]
+            if field.p == 2:
+                c = v >> e * t & q - 1
+                if c:
+                    basis[s] = v ^ (b if c == 1 else scale_index(field, c, b, n))
+            elif q == 3:
+                if v[0] >> t & 1:
+                    basis[s] = sub3(*v, b[0], b[1] ^ b[0] * (v[1] >> t & 1))
+            elif v[t]:
+                basis[s] = [field.sub(x, field.mul(v[t], y))
+                            for x, y in zip(v, b)]
+    if q == 3:
+        return tuple(int(format(nz, "b"), 3) + int(format(two, "b"), 3)
+                     for nz, two in map(basis.get, pivots)), tuple(pivots)
+    return (tuple(basis[t] if field.p == 2 else undigits(basis[t], q)
+                  for t in pivots), tuple(pivots))
+
+
+def rref(M: Mat) -> Mat:
+    rows = Subspace(M.field, M.m, M.rows()).basis
+    return Mat.from_rows(M.field, rows + ((0,) * M.m,) * (M.k - len(rows)))
+
+
+def rank(M: Mat) -> int:
+    if M.field.p != 2:
+        return len(_echelon(M.field, M.m, M.rows()))
+    idx, w = undigits(M.entries, M.field.q), M.field.e * M.m  # e m bits a row
+    return len(_echelon(M.field, M.m, [idx >> s & (1 << w) - 1
+                                       for s in range(0, M.k * w, w)], True))
+
+
+def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
+    """The rank of a k x m matrix as a function of its ambient index,
+    with nothing of size q^(km) built or read."""
+    return lambda idx: rank(Mat._of(field, k, m, digits(idx, field.q, k * m)))
 
 
 def kernel(M: Mat) -> Subspace:
@@ -405,10 +406,10 @@ def invert(M: Mat) -> Mat:
     F = M.field
     aug = [list(M.row(i)) + [1 if j == i else 0 for j in range(M.k)]
            for i in range(M.k)]
-    rows, pivots = _rref_rows(F, aug)
-    if pivots != list(range(M.k)):
+    S = Subspace(F, 2 * M.k, aug)
+    if S.pivots != tuple(range(M.k)):
         raise ValueError("matrix is singular")
-    return Mat.from_rows(F, [r[M.k:] for r in rows])
+    return Mat.from_rows(F, [r[M.k:] for r in S.basis])
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, u: int) -> Iterator[Subspace]:
@@ -428,9 +429,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, u: int) -> Iterator[Subspace]:
         free = [(i, j) for i in range(u) for j in range(pivots[i] + 1, n)
                 if j not in pivot_set]
         for values in itertools.product(field.elements(), repeat=len(free)):
-            rows = [[0] * n for _ in range(u)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
+            rows = [field.q ** p for p in pivots]
             for (i, j), v in zip(free, values):
-                rows[i][j] = v
+                rows[i] += v * field.q ** j
             yield Subspace._of(field, n, rows, pivots)

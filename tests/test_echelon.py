@@ -1,12 +1,16 @@
-"""The packed elimination of characteristic 2 against independent oracles.
+"""The packed elimination against independent oracles.
 
-Over GF(2^e), ``matlin`` row-reduces packed rows: one int per row, e bits
-per entry.  Here its RREF is compared with a Gauss-Jordan elimination on
+``matlin`` row-reduces packed rows: over GF(2^e) one int per row, e bits
+per entry, and over GF(3) a pair of bit planes per row.  A ``Subspace``
+keeps its RREF rows as ambient indices and decodes ``basis`` on first
+read.  Here its RREF is compared with a Gauss-Jordan elimination on
 rows of element codes written out below (the reference), checked for the
 reduced-echelon properties and, on small cases, for spanning exactly the
 vectors the input rows span; ``Subspace.contains`` is checked against
-that span; and ``rank`` is compared with the bit-sliced lanes of
-``ambient.rank_counts`` on sampled matrices of every rank.
+that span; the complement, the zero-head section and the lazy basis are
+checked over fields of every kind; and ``rank`` is compared with the
+bit-sliced lanes of ``ambient.rank_counts`` on sampled matrices of every
+rank.
 """
 
 import itertools
@@ -15,11 +19,12 @@ import random
 import pytest
 
 from rankcov.ambient import mat_index, rank_counts
-from rankcov.gfield import field_from_order
-from rankcov.matlin import (Mat, Subspace, _rref_rows, random_matrix, rank,
-                           rank_of_index)
+from rankcov.gfield import field_from_order, undigits
+from rankcov.matlin import Mat, Subspace, random_matrix, rank, rank_of_index
 
 FIELDS = (2, 4, 8, 16, 256, 2048)  # GF(2048) has no tables: F.mul computes
+# packed in characteristic 2, as planes over GF(3), as element codes above
+PACKED_FIELDS = (2, 3, 4, 5, 9, 256)
 
 
 def reference_rref(field, rows):
@@ -83,8 +88,8 @@ def row_sets(q):
 def test_rref_matches_the_reference(q):
     F = field_from_order(q)
     for n, rows in row_sets(q):
-        rref, pivots = _rref_rows(F, rows)
-        assert ([tuple(r) for r in rref], pivots) == reference_rref(F, rows)
+        S = Subspace(F, n, rows)
+        assert (list(S.basis), list(S.pivots)) == reference_rref(F, rows)
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -116,6 +121,49 @@ def test_contains_matches_the_span(q):
             for _ in range(20):
                 v = tuple(rng.randrange(q) for _ in range(n))
                 assert S.contains(v) == (v in inside)
+
+
+def dot(field, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("q", PACKED_FIELDS)
+def test_packed_subspace_matches_the_reference(q):
+    F = field_from_order(q)
+    rng = random.Random(300 + q)
+    for n, rows in row_sets(q):
+        ref, pivots = reference_rref(F, rows)
+        S = Subspace(F, n, rows)
+        assert (list(S.basis), list(S.pivots)) == (ref, pivots)
+        assert S.rows == tuple(undigits(r, q) for r in ref)
+        # membership: a vector lies in the span iff it adds no pivot
+        samples = [rows[0], [0] * n] + [
+            [rng.randrange(q) for _ in range(n)] for _ in range(10)]
+        for v in samples:
+            assert S.contains(v) == (
+                len(reference_rref(F, ref + [tuple(v)])[1]) == S.dim)
+        # the complement: orthogonal to every row, complementary dimension
+        # and the subspace again once more
+        P = S.orthogonal()
+        assert S.dim + P.dim == n
+        assert all(dot(F, u, v) == 0 for u in S.basis for v in P.basis)
+        assert P.orthogonal() == S
+        # the zero-head section: the tails of the reference rows whose
+        # pivot is at h or beyond
+        for h in sorted({0, 1, n // 2, n}):
+            T = S.zero_head(h)
+            assert T.ambient == n - h
+            assert list(T.basis) == [r[h:] for r, p in zip(ref, pivots)
+                                     if p >= h]
+        # a decoded basis changes neither equality nor the hash
+        lazy, eager = Subspace(F, n, rows), Subspace(F, n, rows)
+        assert eager.basis == S.basis
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert Subspace(F, n, ref) == S
+        assert Subspace.of_indices(F, n, [undigits(r, q) for r in rows]) == S
 
 
 def planes_of(indices, nbits):

@@ -19,7 +19,7 @@ from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.covering import external_distance
 from rankcov.gfield import field_from_order
-from rankcov.matlin import Mat, _rref_rows, rank, rank_of_index
+from rankcov.matlin import Mat, Subspace, rank, rank_of_index
 from rankcov.qcomb import (build_table, dual_weight_distribution,
                            rank_sphere_size)
 
@@ -33,7 +33,7 @@ INDEX_SHAPES = [(q, k, m) for q in FIELDS
 
 def rref_rank(M):
     """Pivot count of the RREF, independent of the rank kernels."""
-    return len(_rref_rows(M.field, [list(r) for r in M.rows()])[1])
+    return Subspace(M.field, M.m, M.rows()).dim
 
 
 def mat_expansion(C):

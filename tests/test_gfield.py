@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rankcov.gfield import (FieldSpec, digits, extension_field,
-                            field_from_order, make_field)
+                            field_from_order, make_field, undigits)
 from rankcov.gfield import _is_irreducible, _mul_codes
 
 
@@ -169,3 +169,49 @@ def test_large_field_no_tables():
     a, b = 0b101, 0b11010
     assert F.mul(a, F.inv(a)) == 1
     assert F.mul(a, F.add(b, 1)) == F.add(F.mul(a, b), a)
+
+
+# -- the digit codec against the plain division loop --
+
+# every prime power up to 36, where int() parses the digits, and two above
+CODEC_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
+                32, 256, 2048)
+CODEC_LENGTHS = (0, 1, 8, 9, 25, 64)
+
+
+def loop_digits(code, base, n):
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, base)
+        out.append(d)
+    return tuple(out)
+
+
+def loop_undigits(values, base):
+    code = 0
+    for d in reversed(list(values)):
+        code = code * base + d
+    return code
+
+
+@pytest.mark.parametrize("q", CODEC_ORDERS)
+def test_codec_matches_the_division_loop(q):
+    from rankcov.ambient import index_to_mat, mat_index
+    from rankcov.matlin import Mat
+    F = field_from_order(q)
+    rng = random.Random(q)
+    for n in CODEC_LENGTHS:
+        codes = [0, q ** n - 1] + [rng.randrange(q ** n) for _ in range(20)]
+        for code in codes:
+            d = loop_digits(code, q, n)
+            assert digits(code, q, n) == d
+            assert undigits(d, q) == undigits(list(d), q) == code
+            if n:
+                M = index_to_mat(F, 1, n, code)
+                assert M == Mat(F, 1, n, d)
+                assert mat_index(M) == code
+        for _ in range(5):
+            values = [rng.randrange(q) for _ in range(n)]
+            assert undigits(values, q) == loop_undigits(values, q)
+    # digits keeps the n low digits of a longer code, as the loop does
+    assert digits(q ** 9 + 5, q, 8) == loop_digits(q ** 9 + 5, q, 8)

@@ -14,7 +14,7 @@ from rankcov.cli import serialize
 from rankcov.codes import RankCode
 from rankcov.construct import random_linear_code
 from rankcov.gfield import field_from_order
-from rankcov.matlin import (Mat, Subspace, _rref_rows, devectorize, kernel,
+from rankcov.matlin import (Mat, Subspace, devectorize, kernel,
                             random_invertible, random_matrix, trace_inner)
 
 FIELDS = (2, 3, 4, 9)
@@ -24,7 +24,8 @@ def kernel_by_rref(M):
     """Right null space of M: row-reduce M, then one vector per free
     column f, e_f minus the reduced rows' entries at f."""
     F = M.field
-    rows, pivots = _rref_rows(F, [list(r) for r in M.rows()])
+    R = Subspace(F, M.m, M.rows())
+    rows, pivots = R.basis, R.pivots
     basis = []
     for f in range(M.m):
         if f not in pivots:
