@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .gfield import (FieldSpec, add_index, digits, make_field, planes3,
-                     sub3, undigits)
+                     scale_index, sub3, undigits)
 from .matlin import Mat
 
 
@@ -32,6 +32,19 @@ def mat_index(M: Mat) -> int:
 
 def index_to_mat(field: FieldSpec, k: int, m: int, idx: int) -> Mat:
     return Mat._of(field, k, m, digits(idx, field.q, k * m))
+
+
+def left_images(A: Mat, m: int, words: Iterable[int]) -> List[int]:
+    """The index of A M for each A.m x m matrix M indexed by words, on
+    packed rows: row i of A M sums A[i, j] times row j of M."""
+    F, w, out = A.field, A.field.q ** m, []  # w: one row of m entries
+    for x in words:
+        rows, image = [x // w ** j % w for j in range(A.m)], 0
+        for i in range(A.k):
+            for a, r in zip(A.row(i), rows):
+                image = add_index(F, image, scale_index(F, a, r, m) * w ** i)
+        out.append(image)
+    return out
 
 
 # -- bit-sliced ranks in characteristic 2 and 3 --

@@ -20,7 +20,7 @@ from . import covering
 from .ambient import index_to_mat
 from .codes import GuardExceeded, RankCode, check_guard
 from .gfield import digits, field_from_order
-from .matlin import Mat, Subspace, rank, random_invertible
+from .matlin import Mat, Subspace, rank, random_invertible, vectorize
 
 EXIT_PARSE = 2
 EXIT_GUARD = 3
@@ -33,6 +33,14 @@ class ParseError(Exception):
 
 def parse(path: str) -> RankCode:
     """Read an rmc file into a RankCode."""
+    field, k, m, kind, mats = _read(path)
+    if kind == "linear":
+        return RankCode.from_generators(field, k, m, mats)
+    return RankCode.from_codewords(field, k, m, mats)
+
+
+def _read(path: str) -> tuple:
+    """The field, k, m, kind and blocks (as written) of an rmc file."""
     with open(path) as fh:
         raw = fh.read().splitlines()
     lines = []  # (lineno, stripped content), comments removed
@@ -115,14 +123,12 @@ def parse(path: str) -> RankCode:
         if lines[pos][1].strip():
             raise ParseError(path, lines[pos][0], "trailing content after blocks")
         pos += 1
-    if kind == "linear":
-        return RankCode.from_generators(field, k, m, mats)
-    return RankCode.from_codewords(field, k, m, mats)
+    return field, k, m, kind, mats
 
 
 def serialize(C: RankCode) -> str:
-    """Render a RankCode in the rmc format (canonical basis / sorted set)."""
-    mats = list(C.basis) if C.linear else list(C.words)
+    """Render a RankCode in the rmc format (RREF basis / set in entry order)."""
+    mats = list(C.basis) if C.linear else sorted(C.words, key=vectorize)
     out = ["rmc 1", f"q {C.field.q}", f"k {C.k}", f"m {C.m}",
            f"kind {'linear' if C.linear else 'set'}", f"count {len(mats)}"]
     for M in mats:
@@ -207,11 +213,12 @@ def _cmd_cosets(args) -> int:
 
 def _load_transform(args, C: RankCode) -> Mat:
     if args.A is not None:
-        A_code = parse(args.A)
-        if not A_code.linear or A_code.dim != 1:
+        field, k, m, kind, mats = _read(args.A)
+        if (kind != "linear"
+                or RankCode.from_generators(field, k, m, mats).dim != 1):
             raise ParseError(args.A, 1, "transform file must hold one matrix "
                                         "(kind linear, a single k x k generator)")
-        A = A_code.basis[0]
+        A = next(M for M in mats if not M.is_zero())  # as written, unscaled
     else:
         A = random_invertible(C.field, C.k, args.seed)
     if A.k != C.k or A.m != C.k or rank(A) != C.k:

@@ -1,10 +1,11 @@
 """Rank-metric codes in F_q^{k x m}.
 
 A RankCode is either linear (its span: the RREF Subspace of F_q^(km)
-spanned by the vectorized generators) or an explicit sorted set of
-codewords.  The echelon form makes equality a tuple comparison, gives
-membership and the initial set through its pivots, and its orthogonal
-complement is the dual.  Every exhaustive count passes
+spanned by the vectorized generators) or an explicit set: the sorted
+ambient indices of its codewords, decoded (``words``) on first read.  The
+echelon form makes equality a tuple comparison, gives membership and the
+initial set through its pivots, and its orthogonal complement is the
+dual.  Every exhaustive count passes
 :func:`check_guard`, the one reader of the work guard ENUM_GUARD.
 """
 
@@ -14,8 +15,8 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .ambient import (index_to_mat, mat_index, pair_lanes, rank_counts,
-                      rank_table, span_lanes, word_lanes)
+from .ambient import (index_to_mat, left_images, mat_index, pair_lanes,
+                      rank_counts, rank_table, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index, scale_index
 from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
@@ -41,21 +42,20 @@ def check_guard(count: int, message: str) -> None:
 class RankCode:
     """A code C subseteq F_q^{k x m}.  Immutable; use the constructors."""
 
-    __slots__ = ("field", "k", "m", "linear", "span", "_basis", "words",
-                 "_weight_distribution", "_pair_counts", "_min_distance",
-                 "_dual")
+    __slots__ = ("field", "k", "m", "linear", "span", "indices", "_basis",
+                 "_words", "_weight_distribution", "_pair_counts",
+                 "_min_distance", "_dual")
 
     def __init__(self, field: FieldSpec, k: int, m: int, *,
                  span: Optional[Subspace] = None,
-                 words: Optional[Tuple[Mat, ...]] = None):
+                 indices: Optional[Tuple[int, ...]] = None):
         if k > m:
             raise ValueError("the standing assumption k <= m is violated")
         self.field, self.k, self.m = field, k, m
         self.linear = span is not None
-        self.span = span
-        self.words = words
-        self._basis = self._weight_distribution = self._pair_counts = None
-        self._min_distance = self._dual = None
+        self.span, self.indices = span, indices  # indices: sorted, distinct
+        self._basis = self._words = self._weight_distribution = None
+        self._pair_counts = self._min_distance = self._dual = None
 
     # -- constructors --
 
@@ -78,11 +78,10 @@ class RankCode:
         for M in mats:
             if M.field != field or (M.k, M.m) != (k, m):
                 raise ValueError("codeword dimension/field mismatch")
-        words = tuple(sorted(mats, key=lambda M: M.entries))
-        for a, b in zip(words, words[1:]):
-            if a.entries == b.entries:
-                raise ValueError("duplicate codeword")
-        return cls(field, k, m, words=words)
+        words = tuple(sorted(mat_index(M) for M in mats))
+        if any(a == b for a, b in zip(words, words[1:])):
+            raise ValueError("duplicate codeword")
+        return cls(field, k, m, indices=words)
 
     @classmethod
     def zero_code(cls, field: FieldSpec, k: int, m: int) -> "RankCode":
@@ -103,6 +102,13 @@ class RankCode:
         return self._basis
 
     @property
+    def words(self) -> Optional[Tuple[Mat, ...]]:
+        """A set's codewords as matrices, decoded on first read."""
+        if self._words is None and not self.linear:
+            self._words = tuple(self.codewords())
+        return self._words
+
+    @property
     def dim(self) -> int:
         if not self.linear:
             raise ValueError("dimension is defined for linear codes only")
@@ -111,7 +117,7 @@ class RankCode:
     def cardinality(self) -> int:
         if self.linear:
             return self.field.q ** self.span.dim
-        return len(self.words)
+        return len(self.indices)
 
     def is_full_space(self) -> bool:
         return self.cardinality() == self.field.q ** (self.k * self.m)
@@ -120,15 +126,12 @@ class RankCode:
         """The ambient index of every codeword, for a linear code in the
         order of :meth:`matlin.Subspace.indices`."""
         if not self.linear:
-            return [mat_index(M) for M in self.words]
+            return list(self.indices)
         check_guard(self.cardinality(), "code has {count} words, guard is {guard}")
         return self.span.indices()
 
     def codewords(self) -> Iterator[Mat]:
         """All codewords, in the order of :meth:`word_indices`."""
-        if not self.linear:
-            yield from self.words
-            return
         for idx in self.word_indices():
             yield index_to_mat(self.field, self.k, self.m, idx)
 
@@ -137,8 +140,9 @@ class RankCode:
             return False
         if self.linear:
             return self.span.contains(X.entries)
-        i = bisect_left(self.words, X.entries, key=lambda M: M.entries)
-        return i < len(self.words) and self.words[i].entries == X.entries
+        x = mat_index(X)
+        i = bisect_left(self.indices, x)
+        return i < len(self.indices) and self.indices[i] == x
 
     # -- metric invariants --
 
@@ -255,18 +259,18 @@ class RankCode:
             n = self.cardinality()
             return [n * w for w in self.weight_distribution()]
         if self._pair_counts is None:
-            n = len(self.words)
+            idx, F = self.indices, self.field
+            n = len(idx)
             check_guard(n * (n - 1) // 2, "too many codeword pairs")
-            F = self.field
-            idx = [mat_index(M) for M in self.words]
             if F.p <= 3:
                 P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e,
                                                  F.p))
             else:  # rank(b - a) = rank(a - b): the b after a, shifted by -a
                 rank = rank_of_index(F, self.k, self.m)
                 P = [n] + [0] * self.k
-                for i, M in enumerate(self.words):
-                    W = self._shifted_weights(idx[i + 1:], mat_index(-M), rank)
+                for i, a in enumerate(idx):
+                    W = self._shifted_weights(idx[i + 1:], scale_index(
+                        F, F.neg(1), a, self.k * self.m), rank)
                     P = [p + 2 * w for p, w in zip(P, W)]  # W[0] = 0
             self._pair_counts = tuple(P)
         return list(self._pair_counts)
@@ -293,22 +297,21 @@ class RankCode:
         """C(U): codewords whose column space lies inside U <= F_q^k."""
         if U.field != self.field or U.ambient != self.k:
             raise ValueError("subspace ambient mismatch")
-        if self.linear:
-            # colspace(M) <= U  iff  P M = 0 with rows of P spanning U-perp;
-            # the words [P M | M] with a zero head P M are C(U)
-            perp = U.orthogonal()
-            if perp.dim == 0:
-                return self
-            P = Mat.from_rows(self.field, perp.basis)
-            pairs = Subspace(self.field, (perp.dim + self.k) * self.m,
-                             [(P @ B).entries + B.entries for B in self.basis])
-            return RankCode(self.field, self.k, self.m,
-                            span=pairs.zero_head(perp.dim * self.m))
-        kept = [M for M in self.words
-                if all(U.contains(M.col(j)) for j in range(self.m))]
+        # colspace(M) <= U  iff  P M = 0 with rows of P spanning U-perp
+        perp = U.orthogonal()
+        if perp.dim == 0:
+            return self
+        F, h = self.field, perp.dim * self.m
+        words = self.span.rows if self.linear else self.indices
+        images = left_images(Mat.from_rows(F, perp.basis), self.m, words)
+        if self.linear:  # the words [P M | M] with a zero head P M
+            pairs = Subspace.of_indices(F, h + self.k * self.m, [
+                y + x * F.q ** h for x, y in zip(words, images)])
+            return RankCode(F, self.k, self.m, span=pairs.zero_head(h))
+        kept = [x for x, y in zip(words, images) if not y]
         if not kept:
             raise ValueError("restriction of an explicit code is empty")
-        return RankCode.from_codewords(self.field, self.k, self.m, kept)
+        return RankCode(F, self.k, self.m, indices=tuple(kept))
 
     # -- classification predicates --
 
@@ -334,10 +337,8 @@ class RankCode:
     # -- identity --
 
     def _key(self):
-        if self.linear:
-            return (self.field, self.k, self.m, "lin", self.span.rows)
-        return (self.field, self.k, self.m, "set",
-                tuple(M.entries for M in self.words))
+        return (self.field, self.k, self.m, self.linear,
+                self.span.rows if self.linear else self.indices)
 
     def __eq__(self, other):
         return isinstance(other, RankCode) and self._key() == other._key()
@@ -346,5 +347,5 @@ class RankCode:
         return hash(self._key())
 
     def __repr__(self):
-        kind = f"dim={self.dim}" if self.linear else f"size={len(self.words)}"
+        kind = f"dim={self.dim}" if self.linear else f"size={len(self.indices)}"
         return f"RankCode({self.field}, {self.k}x{self.m}, {kind})"

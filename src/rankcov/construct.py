@@ -128,7 +128,5 @@ def random_code(field: FieldSpec, k: int, m: int, size: int, seed) -> RankCode:
     if not 1 <= size <= N:
         raise ValueError("size out of range")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    from .ambient import index_to_mat
-    picks = rng.sample(range(N), size)
-    return RankCode.from_codewords(field, k, m,
-                                   [index_to_mat(field, k, m, i) for i in picks])
+    return RankCode(field, k, m, indices=tuple(sorted(rng.sample(range(N),
+                                                                 size))))

@@ -82,22 +82,18 @@ def moebius_complete(q: int, k: int, m: int, codesize: int, d_perp: int,
 
 
 def high_dim_section_count(C: RankCode, X: Mat, U: Subspace) -> int:
-    """|(C+X)(U)|: translate elements with column space inside U.  With
-    the rows of P spanning U-perp that is the number of M in C with
-    P M = -P X: |C(U)| when P X lies in P C = span{P B}, else 0."""
+    """|(C+X)(U)|: translate elements with column space inside U.  For X
+    outside C, C + <X> is the disjoint union of the C + cX, and for c != 0
+    (C + cX)(U) = c (C+X)(U), so |(C + <X>)(U)| = |C(U)| + (q-1)|(C+X)(U)|."""
     if not C.linear:
         raise ValueError("section counts are defined for linear codes")
     if X.field != C.field or (X.k, X.m) != (C.k, C.m):
         raise ValueError("translate matrix dimension/field mismatch")
-    section = C.restrict(U)
-    perp = U.orthogonal()
-    if perp.dim:
-        P = Mat.from_rows(C.field, perp.basis)
-        image = Subspace(C.field, perp.dim * C.m,
-                         [(P @ B).entries for B in C.basis])
-        if not image.contains((P @ X).entries):
-            return 0
-    return section.cardinality()
+    section = C.restrict(U).cardinality()
+    if C.contains(X):
+        return section
+    wider = RankCode.from_generators(C.field, C.k, C.m, C.basis + (X,))
+    return (wider.restrict(U).cardinality() - section) // (C.field.q - 1)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,18 @@ def _kv(capsys):
 
 
 def test_serialize_parse_roundtrip(tmp_path):
-    for C in (example_3x3(), RankCode.zero_code(F2, 2, 2)):
+    F3 = make_field(3)
+    S = RankCode.from_codewords(F3, 2, 2, [
+        Mat.from_rows(F3, rows) for rows in ([[0, 1], [0, 0]],
+                                             [[1, 0], [0, 0]],
+                                             [[0, 0], [2, 1]],
+                                             [[0, 0], [0, 0]])])
+    for C in (example_3x3(), RankCode.zero_code(F2, 2, 2), S):
         path = _write(tmp_path, "r.rmc", serialize(C))
         assert parse(path) == C
+    # a set is written in entry order, whatever order it keeps its words in
+    blocks = serialize(S).split("\n\n")[1:]
+    assert blocks == ["0 0\n0 0", "0 0\n2 1", "0 1\n0 0", "1 0\n0 0\n"]
 
 
 def test_parse_set_kind_and_comments(tmp_path):
@@ -195,6 +204,17 @@ def test_puncture_and_shorten_commands(tmp_path, capsys):
     from rankcov.surgery import shorten
     assert P.dual() == shorten(example_3x3().dual(), Mat.identity(F2, 3), 1)
     assert (S.k, S.m) == (2, 3)
+
+
+def test_surgery_applies_the_transform_as_written(tmp_path, capsys):
+    # 2 I spans the same code as I, so it must not be read as the RREF row
+    cpath = _write(tmp_path, "c.rmc", "rmc 1\nq 3\nk 2\nm 2\nkind set\n"
+                   "count 2\n\n0 0\n0 0\n\n1 0\n1 1\n")
+    apath = _write(tmp_path, "a.rmc", "rmc 1\nq 3\nk 2\nm 2\nkind linear\n"
+                   "count 1\n\n2 0\n0 2\n")
+    assert main(["puncture", cpath, "--A", apath, "--u", "1"]) == 0
+    assert capsys.readouterr().out == ("rmc 1\nq 3\nk 1\nm 2\nkind set\n"
+                                       "count 2\n\n0 0\n\n2 2\n")
 
 
 def test_puncture_with_seeded_transform(tmp_path, capsys):

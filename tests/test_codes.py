@@ -145,7 +145,7 @@ def test_restrict_linear_matches_filter():
         assert {M.entries for M in R.codewords()} == direct
 
 
-@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
 def test_restrict_of_a_set_matches_a_column_space_filter(q):
     # colspace(M) <= U iff U's basis with M's columns still has rank dim U
     F = field_from_order(q)
@@ -163,7 +163,7 @@ def test_restrict_of_a_set_matches_a_column_space_filter(q):
             assert (sorted(M.entries for M in S.restrict(U).words)
                     == sorted(M.entries for M in L.restrict(U).codewords())
                     == sorted(M.entries for M in L.codewords() if inside(M)))
-            kept = sorted(M.entries for M in C.words if inside(M))
+            kept = [M.entries for M in C.words if inside(M)]  # set order
             if kept:
                 assert [M.entries for M in C.restrict(U).words] == kept
             else:

@@ -112,7 +112,7 @@ def _words(C):
     return sorted(M.entries for M in C.codewords())
 
 
-@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
 def test_set_surgery_matches_the_linear_code_with_the_same_words(q):
     F = field_from_order(q)
     rng = random.Random(36)
@@ -126,7 +126,7 @@ def test_set_surgery_matches_the_linear_code_with_the_same_words(q):
             assert _words(shorten(S, A, u)) == _words(shorten(C, A, u))
 
 
-@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
 def test_set_surgery_of_nonlinear_sets_matches_direct_projection(q):
     F = field_from_order(q)
     rng = random.Random(37)
