@@ -5,9 +5,11 @@ the t-th row-major entry (the :func:`gfield.digits` codec).  In
 characteristic 2 an element code is the element's GF(2) coordinate
 vector, so matrix addition is XOR of indices.  The packing never leaks
 into serialization.  In characteristic 2 and 3 :func:`rank_counts` ranks
-a whole pass of matrices at once, one bit lane per matrix; the codeword
-passes in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks
-one matrix from its index for p >= 5.
+a whole pass of matrices at once, one bit lane per matrix, gathering
+each row's pivot entries from the columns that led and updating the
+later rows entry by entry (one AND/XOR over GF(2)); the codeword passes
+in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks one
+matrix from its index for p >= 5.
 
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
@@ -114,9 +116,9 @@ def _low_lanes(low: Tuple[int, ...], nbits: int, p: int) -> tuple:
     if p == 2:
         planes = [0] * nbits
         for v, P in zip(low, _lane_patterns(len(low))):
-            for b in range(v.bit_length()):
-                if v >> b & 1:
-                    planes[b] ^= P
+            while v:
+                planes[(v & -v).bit_length() - 1] ^= P
+                v &= v - 1
         return tuple(planes), 1 << len(low)
     planes, lanes = [0] * (2 * nbits), 1
     for v in low:
@@ -134,9 +136,9 @@ def _low_lanes(low: Tuple[int, ...], nbits: int, p: int) -> tuple:
 def _planes(words: Sequence[int], nbits: int, p: int = 2) -> List[int]:
     """The transposed indices: bit w of plane b is bit b of words[w], or
     for p = 3 the two planes of digit t of words[w]."""
-    if p == 2:
-        rows = [format(x, f"0{nbits}b") for x in reversed(words)]
-        return [int("".join(col), 2) for col in reversed(list(zip(*rows)))]
+    if p == 2:  # bit b of words[w] is character nbits - 1 - b of word w
+        text = "".join([format(x, f"0{nbits}b") for x in reversed(words)])
+        return [int(text[nbits - 1 - b::nbits], 2) for b in range(nbits)]
     out = []
     for col in zip(*[digits(x, 3, nbits) for x in words]):
         out += planes3(col)
@@ -256,41 +258,45 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     At row i, column j leads in the lanes L_j = nz(entry) & ~seen, where
     seen covers earlier pivot columns and lanes already led at row i; a
     lane's rank is the number of rows where it found a lead.  Every
-    column j then becomes a X_j - b_j P, with a the pivot entry, P the
-    pivot column gathered lane by lane and b_j column j's entry at row
-    i: a single AND for GF(2), otherwise a product of e x e digits
-    reduced through the modulus and a difference, per characteristic.
-    A pivot column cancels itself, and the lanes where a column led at
-    an earlier row are masked out of every later lead and gather, so
-    what the update writes there is never read.
+    column j then becomes a X_j - b_j P, with a the pivot entry and b_j
+    column j's entry at row i; entry t of the pivot column P is gathered
+    from row t, lane by lane, from the columns that led, each masked by
+    its L_j.  Over GF(2) an entry is one plane, a = 1 and a row is
+    updated with one AND/XOR per entry; otherwise an entry is its list of
+    planes and the update a product of e x e digits reduced through the
+    modulus and a difference, per characteristic.  A pivot column
+    cancels itself, and the lanes where a column led at an earlier row
+    are masked out of every later lead and gather, so what the update
+    writes there is never read.
     """
-    e = field.e
-    w = e * (field.p - 1)  # planes per entry
-    full = (1 << lanes) - 1
-    # col[j][i]: the planes of entry (i, j)
-    col = [[list(planes[w * (i * m + j): w * (i * m + j) + w])
-            for i in range(k)] for j in range(m)]
-    used = [0] * m
-    if field.p == 2:
-        mul, sub = _mul_planes, lambda x, y: [u ^ v for u, v in zip(x, y)]
-    else:
-        mul = _mul_planes3
+    w = field.e * (field.p - 1)  # planes per entry
+    if w == 1:  # rows[i][j]: entry (i, j), one plane
+        rows = [list(planes[m * i: m * i + m]) for i in range(k)]
+    else:  # rows[i][j]: the planes of entry (i, j)
+        rows = [[list(planes[w * t: w * t + w])
+                 for t in range(m * i, m * i + m)] for i in range(k)]
+        terms = _product_terms(field)
+        if field.p == 2:
+            mul, sub = _mul_planes, lambda x, y: [u ^ v for u, v in zip(x, y)]
+        else:
+            mul = _mul_planes3
 
-        def sub(x, y):  # e plane pairs each
-            return [z for i in range(0, len(x), 2)
-                    for z in sub3(x[i], x[i + 1], y[i], y[i + 1])]
-    terms = _product_terms(field) if w > 1 else None
-    ranked = [full]  # ranked[r]: lanes with at least r leads so far
-    for i in range(k):
-        found = 0
-        lead = [0] * m
-        for j in range(m):
-            nz = 0
-            for x in col[j][i]:
-                nz |= x
-            L = nz & ~(used[j] | found)
+            def sub(x, y):  # e plane pairs each
+                return [z for i in range(0, len(x), 2)
+                        for z in sub3(x[i], x[i + 1], y[i], y[i + 1])]
+    used = [0] * m
+    ranked = [(1 << lanes) - 1]  # ranked[r]: lanes with >= r leads so far
+    for i, row in enumerate(rows):
+        found, leads = 0, []
+        for j, x in enumerate(row):
+            if w > 1:
+                nz = 0
+                for y in x:
+                    nz |= y
+                x = nz
+            L = x & ~(used[j] | found)
             if L:
-                lead[j] = L
+                leads.append((j, L))
                 used[j] |= L
                 found |= L
         if not found:
@@ -300,26 +306,24 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
             ranked[r] |= ranked[r - 1] & found
         if i == k - 1:
             break
-        pivot = [[0] * w for _ in range(i, k)]
-        for j, L in enumerate(lead):
-            if L:
-                for p, x in zip(pivot, col[j][i:]):
-                    for s in range(w):
-                        p[s] |= x[s] & L
         if w == 1:
-            for c in col:
-                b = c[i][0]
-                if b:
-                    for x, p in zip(c[i + 1:], pivot[1:]):
-                        x[0] ^= b & p[0]
+            for t in range(i + 1, k):
+                R, P = rows[t], 0
+                for j, L in leads:
+                    P |= R[j] & L
+                if P:
+                    rows[t] = [x ^ b & P for x, b in zip(R, row)]
             continue
-        a = pivot[0]
-        a[0] |= full ^ found  # lanes without a pivot scale by 1
-        for c in col:
-            b = c[i]
-            if any(b):
-                for t, p in enumerate(pivot[1:], i + 1):
-                    c[t] = sub(mul(terms, a, c[t]), mul(terms, b, p))
+        a = [0] * w
+        for j, L in leads:
+            a = [u | v & L for u, v in zip(a, row[j])]
+        a[0] |= ranked[0] ^ found  # lanes without a pivot scale by 1
+        for t in range(i + 1, k):
+            R, P = rows[t], [0] * w
+            for j, L in leads:
+                P = [u | v & L for u, v in zip(P, R[j])]
+            rows[t] = [sub(mul(terms, a, x), mul(terms, b, P)) if any(b)
+                       else x for x, b in zip(R, row)]
     counts = [x.bit_count() for x in ranked] + [0] * (k + 2 - len(ranked))
     return [counts[r] - counts[r + 1] for r in range(k + 1)]
 

@@ -15,7 +15,7 @@ import random
 from typing import List, Optional, Tuple
 
 from .gfield import FieldSpec, digits, extension_field, field_from_order
-from .matlin import Mat, Subspace
+from .matlin import Mat, Subspace, draw_entries
 from .codes import RankCode
 
 
@@ -42,7 +42,8 @@ def gabidulin(q: int, k: int, m: int, d: int) -> RankCode:
     base = field_from_order(q)
     gens = _evaluation_generators(q, k, m, list(range(r)))
     C = RankCode.from_generators(base, k, m, gens)
-    assert C.dim == m * r, "evaluation generators must be independent"
+    if C.dim != m * r:
+        raise ArithmeticError("evaluation generators must be independent")
     return C
 
 
@@ -91,8 +92,7 @@ def dually_qmrd(q: int, k: int, m: int, t: int,
 
 def _random_codeword(C: RankCode, rng: random.Random) -> Mat:
     M = Mat.zero(C.field, C.k, C.m)
-    for B in C.basis:
-        c = rng.randrange(C.field.q)
+    for B, c in zip(C.basis, draw_entries(rng, C.field.q, len(C.basis))):
         if c:
             M = M + B.scale(c)
     return M
@@ -116,8 +116,9 @@ def random_linear_code(field: FieldSpec, k: int, m: int, dim: int,
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = k * m
     while True:
-        span = Subspace(field, n, [[rng.randrange(field.q) for _ in range(n)]
-                                   for _ in range(dim)])
+        entries = draw_entries(rng, field.q, dim * n)
+        span = Subspace(field, n, [entries[n * i: n * i + n]
+                                   for i in range(dim)])
         if span.dim == dim:
             return RankCode(field, k, m, span=span)
 

@@ -128,8 +128,8 @@ def annihilator(C: RankCode) -> AnnihilatorPoly:
     for j in range(k + 1):
         cj = sum(values[i] * table.P[j][i] for i in range(k + 1))
         coeffs.append(cj / q ** (k * m))
-    for j in range(sigma + 1, k + 1):
-        assert coeffs[j] == 0, "annihilator degree exceeded sigma*"
+    if any(coeffs[sigma + 1:]):
+        raise ArithmeticError("annihilator degree exceeded sigma*")
     return replace(poly, coeffs=tuple(coeffs[: sigma + 1]))
 
 

@@ -205,19 +205,29 @@ class Subspace:
     def orthogonal(self) -> "Subspace":
         """Orthogonal complement under the standard dot product, read off
         the RREF: free column f gives e_f minus the rows' entries at f,
-        and only rows with a pivot before f have one."""
-        F, n, q = self.field, self.ambient, self.field.q
+        and only rows with a pivot before f have one.  In characteristic
+        2, where -x = x, that vector is built and reduced as its packed
+        row: entry t is bits [e t, e t + e)."""
+        F, n, q, e = self.field, self.ambient, self.field.q, self.field.e
         out = []
         for f in range(n):
-            if f not in self.pivots:
+            if f in self.pivots:
+                continue
+            if F.p == 2:
+                v = 1 << e * f
+                for row, p in zip(self.rows, self.pivots):
+                    if p > f:
+                        break
+                    v |= (row >> e * f & q - 1) << e * p
+            else:
                 v, w = [0] * n, q ** f
                 v[f] = 1
                 for row, p in zip(self.rows, self.pivots):
                     if p > f:
                         break
                     v[p] = F.neg(row // w % q)
-                out.append(v)
-        return Subspace._of(F, n, *_rref(F, n, out))
+            out.append(v)
+        return Subspace._of(F, n, *_rref(F, n, out, F.p == 2))
 
     def zero_head(self, h: int) -> "Subspace":
         """The vectors whose first h coordinates vanish, those coordinates
@@ -386,8 +396,21 @@ def devectorize(field: FieldSpec, vec: Sequence[int], k: int, m: int) -> Mat:
     return Mat(field, k, m, vec)
 
 
+def draw_entries(rng: random.Random, q: int, n: int) -> List[int]:
+    """The values of n calls of rng.randrange(q), leaving rng in the same
+    state: like CPython's Random.randrange, draw getrandbits(q.bit_length())
+    again while the result is q or more, without its two calls per entry."""
+    bits, draw, out = q.bit_length(), rng.getrandbits, []
+    for _ in range(n):
+        x = draw(bits)
+        while x >= q:
+            x = draw(bits)
+        out.append(x)
+    return out
+
+
 def random_matrix(field: FieldSpec, k: int, m: int, rng: random.Random) -> Mat:
-    return Mat(field, k, m, [rng.randrange(field.q) for _ in range(k * m)])
+    return Mat(field, k, m, draw_entries(rng, field.q, k * m))
 
 
 def random_invertible(field: FieldSpec, k: int, seed) -> Mat:

@@ -24,7 +24,8 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     for i in range(b):
         num *= q ** (a - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError("Gaussian binomial is not an integer")
     return num // den
 
 

@@ -58,6 +58,9 @@ def shorten(C: RankCode, A: Mat, u: int) -> RankCode:
     _check_spec(C, A, u)
     if not C.linear and C.indices[0]:
         raise ValueError("shortening requires 0 to be a codeword")
-    image, head = _code(C, C.k, _images(A, C)), C.field.q ** (u * C.m)
-    words = image.span.rows if C.linear else image.indices
-    return _code(C, C.k - u, [x // head for x in words if x % head == 0])
+    images = _images(A, C)
+    if C.linear:
+        image = Subspace.of_indices(C.field, C.k * C.m, images)
+        return RankCode(C.field, C.k - u, C.m, span=image.zero_head(u * C.m))
+    head = C.field.q ** (u * C.m)
+    return _code(C, C.k - u, [x // head for x in images if x % head == 0])

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from rankcov.gfield import digits, extension_field, make_field, undigits
-from rankcov.matlin import Mat, random_invertible, rank
+from rankcov.codes import RankCode
+from rankcov.gfield import (digits, extension_field, field_from_order,
+                            make_field, undigits)
+from rankcov.matlin import Mat, Subspace, random_invertible, rank
 from rankcov.construct import (dually_qmrd, gabidulin, linearized_map_code,
                                nested_gabidulin, random_code,
                                random_linear_code)
@@ -182,6 +184,45 @@ def test_random_linear_code_dimension_and_determinism():
         C = random_linear_code(F2, 2, 3, dim, 99)
         assert C.dim == dim
         assert C == random_linear_code(F2, 2, 3, dim, 99)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_random_linear_code_matches_per_entry_randrange(q):
+    F = field_from_order(q)
+    for seed in range(8):
+        for k, m, dim in ((2, 2, 2), (2, 3, 4), (3, 3, 5)):
+            rng = random.Random(seed)
+            while True:  # the reference draw: one randrange call per entry
+                span = Subspace(F, k * m, [[rng.randrange(q)
+                                            for _ in range(k * m)]
+                                           for _ in range(dim)])
+                if span.dim == dim:
+                    break
+            shared = random.Random(seed)
+            C = random_linear_code(F, k, m, dim, shared)
+            assert C == RankCode(F, k, m, span=span)
+            assert shared.random() == rng.random()
+
+
+@pytest.mark.parametrize("q,k,m,t", [(2, 4, 4, 5), (3, 2, 3, 2), (4, 2, 3, 4)])
+def test_seeded_dually_qmrd_matches_per_entry_randrange(q, k, m, t):
+    base = field_from_order(q)
+    alpha = t // m
+    D = gabidulin(q, k, m, k - alpha)
+    for seed in range(5):
+        gens = list(gabidulin(q, k, m, k - alpha + 1).basis) if alpha else []
+        current = RankCode.from_generators(base, k, m, gens)
+        rng = random.Random(seed)
+        while current.dim < t:  # the reference: one randrange per coefficient
+            M = Mat.zero(base, k, m)
+            for B in D.basis:
+                c = rng.randrange(q)
+                if c:
+                    M = M + B.scale(c)
+            if not current.contains(M):
+                gens.append(M)
+                current = RankCode.from_generators(base, k, m, gens)
+        assert dually_qmrd(q, k, m, t, seed=seed) == current
 
 
 def test_random_code_size_and_bounds():

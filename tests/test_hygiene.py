@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and no module imports another module's underscore names.
+no module imports another module's underscore names, and no library
+check is an ``assert``, which ``python -O`` removes.
 
 ``__init__.py`` resolves its names lazily and imports none of them, and
 ``from __future__`` imports are directives, so neither is checked.
@@ -62,3 +63,20 @@ def test_a_private_import_is_reported():
     tree = ast.parse("from .matlin import Mat, _rref_rows\n"
                      "from . import _x as y\n")
     assert private_imports(tree) == [(1, "_rref_rows"), (2, "_x")]
+
+
+def assert_statements(tree: ast.Module):
+    """The line of every assert, which ``python -O`` strips."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_library_check_is_an_assert(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert assert_statements(tree) == []
+
+
+def test_an_assert_statement_is_reported():
+    tree = ast.parse("x = 1\nif x:\n    assert x > 0, 'positive'\n")
+    assert assert_statements(tree) == [3]

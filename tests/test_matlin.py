@@ -5,7 +5,7 @@ import pytest
 
 from rankcov.gfield import make_field
 from rankcov.matlin import (Mat, Subspace, column_space, devectorize,
-                            enumerate_subspaces, invert, kernel,
+                            draw_entries, enumerate_subspaces, invert, kernel,
                             random_invertible, random_matrix, rank, rref,
                             trace_inner, vectorize)
 from rankcov.qcomb import gaussian_binomial
@@ -148,6 +148,27 @@ def test_random_invertible_is_deterministic_and_invertible():
     assert A == B
     assert rank(A) == 3
     assert A @ invert(A) == Mat.identity(F3, 3)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 27, 256, 1000))
+def test_draw_entries_is_a_run_of_randrange(q):
+    for seed in range(20):
+        a, b = random.Random(seed), random.Random(seed)
+        assert draw_entries(a, q, 50) == [b.randrange(q) for _ in range(50)]
+        assert a.random() == b.random()  # the generators stay in step
+
+
+@pytest.mark.parametrize("field", (F2, F3, F4, make_field(5)))
+def test_random_invertible_matches_per_entry_randrange(field):
+    for seed in range(10):
+        for k in (1, 2, 3):
+            rng = random.Random(seed)
+            while True:  # the reference draw: one randrange call per entry
+                M = Mat(field, k, k, [rng.randrange(field.q)
+                                      for _ in range(k * k)])
+                if rank(M) == k:
+                    break
+            assert random_invertible(field, k, seed) == M
 
 
 def test_random_invertible_k1_q2_unique():

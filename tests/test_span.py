@@ -17,7 +17,7 @@ from rankcov.gfield import field_from_order
 from rankcov.matlin import (Mat, Subspace, devectorize, kernel,
                             random_invertible, random_matrix, trace_inner)
 
-FIELDS = (2, 3, 4, 9)
+FIELDS = (2, 3, 4, 5, 8, 9, 16)
 
 
 def kernel_by_rref(M):

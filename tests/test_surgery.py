@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rankcov.gfield import field_from_order, make_field
-from rankcov.matlin import Mat, invert, random_invertible, rank
+from rankcov.matlin import Mat, Subspace, invert, random_invertible, rank
 from rankcov.codes import RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.surgery import left_mul, puncture, shorten
@@ -48,11 +48,14 @@ def test_puncture_rejects_bad_arguments():
         puncture(C, Mat.identity(F2, 3), 3)  # u = k
 
 
-def test_shorten_is_subcode_projection():
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_shorten_is_subcode_projection(q):
+    F = field_from_order(q)
     rng = random.Random(32)
-    for _ in range(10):
-        C = random_linear_code(F2, 3, 3, rng.randrange(1, 8), rng)
-        A = random_invertible(F2, 3, rng)
+    for _ in range(10 if q < 5 else 4):
+        C = random_linear_code(F, 3, 3, rng.randrange(1, 8 if q < 5 else 4),
+                               rng)
+        A = random_invertible(F, 3, rng)
         u = rng.randrange(1, 3)
         S = shorten(C, A, u)
         # every shortened word lifts to a word of AC with zero top rows
@@ -63,6 +66,9 @@ def test_shorten_is_subcode_projection():
                 lifted.add(T.entries[3 * u:])
         got = {M.entries for M in S.codewords()}
         assert got == lifted
+        # the kept rows are already the canonical RREF of the subcode
+        R = Subspace(F, S.k * 3, S.span.basis)
+        assert (S.span.rows, S.span.pivots) == (R.rows, R.pivots)
 
 
 def test_duality_theorem_worked_example():
