@@ -14,8 +14,8 @@ matrix from its index for p >= 5.
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
 sum to A.  So the covering radius of a code is the number of balls
-:func:`rank_balls` grows around it, and :func:`rank_table` reads every
-rank off the balls around {0}.
+:func:`rank_balls` grows around it; :func:`rank_table`, which reads every
+rank off the balls around {0}, is only a test oracle and benchmark hook.
 """
 
 from __future__ import annotations
@@ -398,8 +398,9 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 @lru_cache(maxsize=8)
 def rank_table(field: FieldSpec, k: int, m: int) -> bytes:
     """rank of every matrix in F_q^{k x m}, indexed by mat_index: byte X
-    counts the balls around {0} that miss X.  Callers bound its q^(km)
-    bytes."""
+    counts the balls around {0} that miss X; callers bound its q^(km) bytes.
+    No library pass reads it.  It goes, with _BIT_BYTES, once the benchmark
+    drops its two calls (sweep set-up and the cold CLI replay)."""
     N = field.q ** (k * m)
     full = (1 << N) - 1
     table = 0

@@ -16,16 +16,12 @@ from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ambient import (index_to_mat, left_images, mat_index, pair_lanes,
-                      rank_counts, rank_table, span_lanes, word_lanes)
+                      rank_counts, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index, scale_index
 from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
 
 ENUM_GUARD = 1 << 24
-
-# translate_weights reads ranks from the cached q^(km)-byte rank table up
-# to this ambient size and ranks lanes or single words above it
-TABLE_CAP = 1 << 20
 
 
 class GuardExceeded(RuntimeError):
@@ -191,36 +187,32 @@ class RankCode:
         if F.p <= 3:
             return self._rank_counts(self._lanes(0))
         words = self.word_indices()
-        rank = rank_of_index(F, self.k, self.m)
         if not self.linear:
-            return self._shifted_weights(words, 0, rank)
+            return self._shifted_weights(words, 0)
         q = F.q
         W = self._shifted_weights((w for j in range(self.span.dim)
-                                   for w in words[q ** j: 2 * q ** j]), 0, rank)
+                                   for w in words[q ** j: 2 * q ** j]), 0)
         return [1] + [(q - 1) * w for w in W[1:]]
 
     def translate_weights(self, xs: Sequence[int]) -> List[List[int]]:
-        """The weight distribution of C+X for each X indexed by xs, with
-        the code expanded once for all of them: each M + X is read from the
-        cached rank table up to TABLE_CAP, and above it characteristic 2
-        and 3 rank lanes and p >= 5 ranks M + X word by word."""
+        """The weight distribution of C+X for each X indexed by xs in
+        [0, q^(km)), the code expanded once for all: characteristic 2 and
+        3 rank lanes, as the weights do, and p >= 5 ranks each M + X."""
+        N = self.field.q ** (self.k * self.m)
+        if not all(0 <= x < N for x in xs):
+            raise ValueError(f"a translate index is outside [0, {N})")
         check_guard(self.cardinality(), "coset enumeration over {count} "
                     "codewords exceeds the guard {guard}")
-        F, k, m = self.field, self.k, self.m
-        above_cap = F.q ** (k * m) > TABLE_CAP
-        if F.p <= 3 and above_cap:
+        if self.field.p <= 3:
             return [self._rank_counts(self._lanes(x)) for x in xs]
-        rank = (rank_of_index(F, k, m) if above_cap
-                else rank_table(F, k, m).__getitem__)
         words = self.word_indices()
-        return [self._shifted_weights(words, x, rank) for x in xs]
+        return [self._shifted_weights(words, x) for x in xs]
 
-    def _shifted_weights(self, words: Iterable[int], x: int,
-                         rank) -> List[int]:
-        """How many of the indices w + x, w in words, have each rank under
-        rank: the word-by-word pass behind translates below TABLE_CAP and
-        the weights and set pairs of p >= 5."""
-        F = self.field
+    def _shifted_weights(self, words: Iterable[int], x: int) -> List[int]:
+        """How many of the indices w + x, w in words, have each rank: the
+        word-by-word pass behind the weights, translates and set pairs of
+        p >= 5."""
+        F, rank = self.field, rank_of_index(self.field, self.k, self.m)
         W = [0] * (self.k + 1)
         for w in words:
             W[rank(add_index(F, w, x))] += 1
@@ -266,11 +258,10 @@ class RankCode:
                 P = self._rank_counts(pair_lanes(idx, self.k * self.m * F.e,
                                                  F.p))
             else:  # rank(b - a) = rank(a - b): the b after a, shifted by -a
-                rank = rank_of_index(F, self.k, self.m)
                 P = [n] + [0] * self.k
                 for i, a in enumerate(idx):
                     W = self._shifted_weights(idx[i + 1:], scale_index(
-                        F, F.neg(1), a, self.k * self.m), rank)
+                        F, F.neg(1), a, self.k * self.m))
                     P = [p + 2 * w for p, w in zip(P, W)]  # W[0] = 0
             self._pair_counts = tuple(P)
         return list(self._pair_counts)

@@ -167,7 +167,7 @@ def test_cosets_full_table(tmp_path, capsys):
     assert total == 16
 
 
-@pytest.mark.parametrize("q,k,m", [(2, 2, 3), (3, 2, 2), (4, 2, 2)])
+@pytest.mark.parametrize("q,k,m", [(2, 2, 3), (3, 2, 2), (4, 2, 2), (5, 2, 2)])
 def test_cosets_full_table_lists_least_index_per_coset(tmp_path, capsys, q, k, m):
     F = field_from_order(q)
     N = q ** (k * m)

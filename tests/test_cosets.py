@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.ambient import mat_index
+from rankcov.ambient import mat_index, rank_table
 from rankcov.gfield import add_index, field_from_order, make_field
 from rankcov.matlin import (Mat, enumerate_subspaces, random_matrix, rank,
                             rank_of_index)
@@ -67,13 +67,9 @@ def test_coset_profile_guard_raises_guard_exceeded(monkeypatch):
     assert coset_profile(C, X).W == tuple(C.weight_distribution())
 
 
-def test_coset_profile_above_table_cap_builds_no_table(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("rank table built above TABLE_CAP")
-
-    monkeypatch.setattr(codes, "rank_table", no_table)
-    C = random_linear_code(F2, 3, 7, 3, 44)  # 2^21 ambient matrices
-    assert 2 ** 21 > codes.TABLE_CAP
+def test_coset_profile_above_table_cap_builds_no_table():
+    # 2^21 ambient matrices: translates never read a q^(km)-byte table
+    C = random_linear_code(F2, 3, 7, 3, 44)
     X = random_matrix(F2, 3, 7, random.Random(45))
     assert not C.contains(X)  # a proper translate
     assert coset_profile(C, X).W == _brute_profile(C, X)
@@ -88,38 +84,54 @@ def _indexed_profile(C, x):
     return W
 
 
+def _table_profile(C, x, table):
+    """W(C+X), X indexed by x, read off the rank table."""
+    W = [0] * (C.k + 1)
+    for w in C.word_indices():
+        W[table[add_index(C.field, w, x)]] += 1
+    return W
+
+
 @pytest.mark.parametrize("q, k, m, dim", ((4, 3, 4, 3), (2, 3, 7, 17)))
-def test_translates_above_table_cap_match_the_listed_words(q, k, m, dim,
-                                                           monkeypatch):
+def test_translates_above_table_cap_match_the_listed_words(q, k, m, dim):
     # 4^12 and 2^21 matrices; the GF(2) code's 17 basis vectors fill two
     # chunks of 2^16 lanes, each with its own constant
-    def no_table(*args):
-        raise AssertionError("rank table built above TABLE_CAP")
-
-    monkeypatch.setattr(codes, "rank_table", no_table)
     F = field_from_order(q)
     rng = random.Random(45)
     C = random_linear_code(F, k, m, dim, rng)
-    assert q ** (k * m) > codes.TABLE_CAP
     inside = mat_index(next(M for M in C.codewords() if not M.is_zero()))
     xs = [0, inside, mat_index(random_matrix(F, k, m, rng))]
     assert C.translate_weights(xs) == [_indexed_profile(C, x) for x in xs]
 
 
-@pytest.mark.parametrize("q", (2, 3, 4, 9))
-def test_translates_agree_on_both_sides_of_the_table_cap(q, monkeypatch):
-    # the rank table below the cap against lanes (p = 2) or one word at a
-    # time (odd p) above it, for linear codes and sets
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+def test_translates_agree_on_both_sides_of_the_table_cap(q):
+    # lanes (p <= 3) or one word at a time (p >= 5) against the rank
+    # table, read directly, and the listed words, for linear codes and sets
     F = field_from_order(q)
     rng = random.Random(46)
-    k, m = (2, 2) if q == 9 else (2, 3)
+    k, m = (2, 2) if q >= 5 else (2, 3)
+    table = rank_table(F, k, m)
     xs = [0] + [rng.randrange(q ** (k * m)) for _ in range(4)]
     cs = [random_linear_code(F, k, m, dim, rng) for dim in (0, 2, k * m)]
     cs += [random_code(F, k, m, size, rng) for size in (1, 7)]
-    below = [C.translate_weights(xs) for C in cs]
-    assert below == [[_indexed_profile(C, x) for x in xs] for C in cs]
-    monkeypatch.setattr(codes, "TABLE_CAP", 1)
-    assert [C.translate_weights(xs) for C in cs] == below
+    got = [C.translate_weights(xs) for C in cs]
+    assert got == [[_indexed_profile(C, x) for x in xs] for C in cs]
+    assert got == [[_table_profile(C, x, table) for x in xs] for C in cs]
+
+
+@pytest.mark.parametrize("q", (2, 3, 5))
+def test_translate_indices_outside_the_ambient_space_are_refused(q):
+    # q^(km) before -1: without the check, -1 never ends for odd p
+    F = field_from_order(q)
+    rng = random.Random(47)
+    N = q ** 4
+    for C in (random_linear_code(F, 2, 2, 2, rng),
+              random_code(F, 2, 2, 3, rng)):
+        for x in (N, -1):
+            with pytest.raises(ValueError, match="outside"):
+                C.translate_weights([0, x])
+        assert C.translate_weights([N - 1]) == [_indexed_profile(C, N - 1)]
 
 
 def test_section_count_matches_filter():

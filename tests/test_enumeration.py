@@ -161,13 +161,9 @@ def test_ternary_set_invariants_share_one_lane_pass(monkeypatch):
     assert passes == [9 * 9]  # every ordered pair, in one pass
 
 
-def test_odd_set_weights_and_pairs_build_no_rank_table(monkeypatch):
-    # a set's own pass ranks its words and pairs one by one; only
-    # translates read the q^(km)-byte table
-    def no_table(*args):
-        raise AssertionError("rank table built for a set's own pass")
-
-    monkeypatch.setattr(codes, "rank_table", no_table)
+def test_odd_set_weights_and_pairs_build_no_rank_table():
+    # a GF(3) set's weights and pairs, ranked in lanes, against the Mat
+    # path; no pass reads a q^(km)-byte table
     C = random_code(field_from_order(3), 2, 3, 9, 5)
     W = [0] * 3
     for M in C.words:

@@ -80,3 +80,29 @@ def test_no_library_check_is_an_assert(path):
 def test_an_assert_statement_is_reported():
     tree = ast.parse("x = 1\nif x:\n    assert x > 0, 'positive'\n")
     assert assert_statements(tree) == [3]
+
+
+def rank_table_mentions(tree: ast.Module):
+    """The line of every name, attribute or import of ``rank_table``: the
+    q^(km)-byte table that only the tests and the benchmark read."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if "rank_table" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None))
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name == "rank_table" for a in node.names)})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "ambient.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_ambient_names_the_rank_table(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert rank_table_mentions(tree) == []
+
+
+def test_a_rank_table_mention_is_reported():
+    tree = ast.parse("from .ambient import rank_table\n"
+                     "from . import ambient\n"
+                     "t = ambient.rank_table(F, 2, 2)\n"
+                     "u = rank_table\n")
+    assert rank_table_mentions(tree) == [1, 3, 4]

