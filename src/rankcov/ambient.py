@@ -7,9 +7,10 @@ vector, so matrix addition is XOR of indices.  The packing never leaks
 into serialization.  In characteristic 2 and 3 :func:`rank_counts` ranks
 a whole pass of matrices at once, one bit lane per matrix, gathering
 each row's pivot entries from the columns that led and updating the
-later rows entry by entry (one AND/XOR over GF(2)); the codeword passes
-in :mod:`codes` use it, and :func:`matlin.rank_of_index` ranks one
-matrix from its index for p >= 5.
+later rows entry by entry (one AND/XOR over GF(2)), and
+:func:`lane_ranks` reads off each lane's rank; the codeword passes in
+:mod:`codes` use them, and :func:`matlin.rank_of_index` ranks one matrix
+from its index for p >= 5.
 
 Rank distance is graph distance in the bilinear-forms graph, whose edges
 are rank-1 steps: rank(A) is the least number of rank-1 matrices that
@@ -251,7 +252,23 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     """counts[r] = how many of the lanes hold a k x m matrix of rank r,
     for a field of characteristic 2 or 3.  planes holds every lane's
     index as the lane builders lay it out, and no bit at or above
-    ``lanes``.
+    ``lanes``."""
+    counts = [x.bit_count() for x in _ranked(field, k, m, planes, lanes)]
+    counts += [0] * (k + 2 - len(counts))
+    return [counts[r] - counts[r + 1] for r in range(k + 1)]
+
+
+def lane_ranks(field: FieldSpec, k: int, m: int, planes: Sequence[int],
+               lanes: int) -> bytes:
+    """Byte w is the rank of lane w, planes laid out as for rank_counts."""
+    ranks = sum(_spread(x, lanes)
+                for x in _ranked(field, k, m, planes, lanes)[1:])
+    return ranks.to_bytes(lanes, "little")
+
+
+def _ranked(field: FieldSpec, k: int, m: int, planes: Sequence[int],
+            lanes: int) -> List[int]:
+    """ranked[r]: the lanes of rank r or more, r up to the highest rank.
 
     Forward elimination on all lanes at once, fraction-free, with the
     columns as the vectors reduced and the k rows as pivot positions.
@@ -324,8 +341,7 @@ def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
                 P = [u | v & L for u, v in zip(P, R[j])]
             rows[t] = [sub(mul(terms, a, x), mul(terms, b, P)) if any(b)
                        else x for x, b in zip(R, row)]
-    counts = [x.bit_count() for x in ranked] + [0] * (k + 2 - len(ranked))
-    return [counts[r] - counts[r + 1] for r in range(k + 1)]
+    return ranked
 
 
 @lru_cache(maxsize=32)
@@ -395,17 +411,21 @@ def rank_balls(field: FieldSpec, k: int, m: int,
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _spread(bits: int, n: int) -> int:
+    """Byte t (from the low end) is bit t of bits, t < n: the binary
+    string's characters, 0 or 1, read high first."""
+    return int.from_bytes(format(bits, f"0{n}b").encode().translate(
+        _BIT_BYTES), "big")
+
+
 @lru_cache(maxsize=8)
 def rank_table(field: FieldSpec, k: int, m: int) -> bytes:
     """rank of every matrix in F_q^{k x m}, indexed by mat_index: byte X
     counts the balls around {0} that miss X; callers bound its q^(km) bytes.
-    No library pass reads it.  It goes, with _BIT_BYTES, once the benchmark
-    drops its two calls (sweep set-up and the cold CLI replay)."""
+    No library pass reads it.  It goes once the benchmark drops its two
+    calls (sweep set-up and the cold CLI replay)."""
     N = field.q ** (k * m)
     full = (1 << N) - 1
-    table = 0
-    for ball in rank_balls(field, k, m, [0]):
-        # one byte per bit: the binary string's characters, 0 or 1
-        missed = format(full ^ ball, f"0{N}b").encode()
-        table += int.from_bytes(missed.translate(_BIT_BYTES), "big")
+    table = sum(_spread(full ^ ball, N)
+                for ball in rank_balls(field, k, m, [0]))
     return table.to_bytes(N, "little")

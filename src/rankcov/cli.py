@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import covering
 from .ambient import index_to_mat
 from .codes import GuardExceeded, RankCode, check_guard
-from .gfield import field_from_order, scale_index
+from .gfield import field_from_order
 from .matlin import Mat, Subspace, rank, random_invertible, vectorize
 
 EXIT_PARSE = 2
@@ -201,20 +201,12 @@ def _cmd_cosets(args) -> int:
                     "use --force")
     # a coset's least index is its one member that is zero at the pivots
     # of the basis echelonized from the top digit
-    F, n, q = C.field, C.k * C.m, C.field.q
+    F, n = C.field, C.k * C.m
     top = Subspace(F, n, [r[::-1] for r in C.span.basis]).pivots
-    free = [t for t in range(n) if n - 1 - t not in top]
-    f = len(free)
-    reps = Subspace.of_indices(F, n, [q ** t for t in free]).indices()
-    # c (C + X) = C + c X has the weights of C + X: rank reps[j] for j in
-    # [q^t, 2 q^t) (last nonzero free digit 1) and copy to its multiples
-    lines = [0] + [j for t in range(f) for j in range(q ** t, 2 * q ** t)]
-    weights = [None] * q ** f
-    for j, W in zip(lines, C.translate_weights([reps[j] for j in lines])):
-        for c in range(1, q):
-            weights[scale_index(F, c, j, f)] = W
-    _emit([(f"coset_{idx:0{len(str(N - 1))}d}", " ".join(str(w) for w in W))
-           for idx, W in zip(reps, weights)])
+    R = Subspace.of_indices(F, n, [F.q ** t for t in range(n)
+                                   if n - 1 - t not in top])
+    _emit([(f"coset_{idx:0{len(str(N - 1))}d}", " ".join(map(str, W)))
+           for idx, W in zip(R.indices(), C.coset_weights(R))])
     return 0
 
 

@@ -15,8 +15,8 @@ import math
 from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .ambient import (index_to_mat, left_images, mat_index, pair_lanes,
-                      rank_counts, span_lanes, word_lanes)
+from .ambient import (index_to_mat, lane_ranks, left_images, mat_index,
+                      pair_lanes, rank_counts, span_lanes, word_lanes)
 from .gfield import FieldSpec, add_index, scale_index
 from .matlin import Mat, Subspace, rank_of_index
 from .qcomb import build_table, dual_weight_distribution
@@ -208,6 +208,39 @@ class RankCode:
         words = self.word_indices()
         return [self._shifted_weights(words, x) for x in xs]
 
+    def coset_weights(self, R: Subspace) -> List[Tuple[int, ...]]:
+        """The weight distribution of C+X for each X in R.indices(), C
+        linear: characteristic 2 and 3 rank C + R in one lane pass, C first,
+        so each |C| lanes in a row make one translate; p >= 5 ranks the
+        translates through the X whose last nonzero coefficient is 1 and
+        copies each to its multiples, as c(C+X) = C + cX has its weights."""
+        check_guard(self.cardinality(), "coset enumeration over {count} "
+                    "codewords exceeds the guard {guard}")
+        F, k, size = self.field, self.k, self.cardinality()
+        if F.p <= 3:
+            out, step = [], 1
+            for planes, lanes in span_lanes(
+                    self._lane_basis(self.span.rows + R.rows),
+                    k * self.m * F.e, 0, F.p):
+                ranks, parts = lane_ranks(F, k, self.m, planes, lanes), {}
+                step = max(1, size // lanes)  # chunks per translate
+                for a in range(0, lanes, size):
+                    part = ranks[a:a + size]  # equal parts: equal weights
+                    if part not in parts:
+                        parts[part] = tuple(map(part.count, range(k + 1)))
+                    out.append(parts[part])
+            if step > 1:
+                out = [tuple(map(sum, zip(*out[i:i + step])))
+                       for i in range(0, len(out), step)]
+            return out
+        q, f, xs = F.q, R.dim, R.indices()
+        words, out = self.word_indices(), [None] * q ** f
+        for j in [0] + [j for t in range(f) for j in range(q ** t, 2 * q ** t)]:
+            W = tuple(self._shifted_weights(words, xs[j]))
+            for c in range(1, q):
+                out[scale_index(F, c, j, f)] = W
+        return out
+
     def _shifted_weights(self, words: Iterable[int], x: int) -> List[int]:
         """How many of the indices w + x, w in words, have each rank: the
         word-by-word pass behind the weights, translates and set pairs of
@@ -223,11 +256,17 @@ class RankCode:
         a linear code's span lanes start at x, so it lists no words."""
         F, n = self.field, self.k * self.m
         if self.linear:
-            return span_lanes([scale_index(F, F.p ** s, row, n)
-                               for row in self.span.rows for s in range(F.e)],
-                              n * F.e, x, F.p)
+            return span_lanes(self._lane_basis(self.span.rows), n * F.e, x,
+                              F.p)
         return word_lanes([add_index(F, w, x) for w in self.word_indices()],
                           n * F.e, F.p)
+
+    def _lane_basis(self, rows: Sequence[int]) -> List[int]:
+        """An F_p-basis of the span of the ambient indices rows: x^s row,
+        s < e, so lane digit (i, s) is digit s of row i's coefficient."""
+        F, n = self.field, self.k * self.m
+        return [scale_index(F, F.p ** s, row, n) for row in rows
+                for s in range(F.e)]
 
     def _rank_counts(self, chunks) -> List[int]:
         """How many lanes of the (planes, lanes) chunks have each rank."""

@@ -353,6 +353,8 @@ def rref(M: Mat) -> Mat:
 
 
 def rank(M: Mat) -> int:
+    if M.field.e == 1 and M.field.p > 3:
+        return _prime_rank(M.field.p, M.m, M.entries)
     if M.field.p != 2:
         return len(_echelon(M.field, M.m, M.rows()))
     idx, w = undigits(M.entries, M.field.q), M.field.e * M.m  # e m bits a row
@@ -360,10 +362,31 @@ def rank(M: Mat) -> int:
                                        for s in range(0, M.k * w, w)], True))
 
 
+def _prime_rank(p: int, m: int, entries: Sequence[int]) -> int:
+    """The rank of the rows of m entries mod p, forward eliminated
+    fraction-free (v becomes a v - c b, a the pivot of b) to skip the
+    inverses and scaled pivot rows."""
+    basis = {}
+    for i in range(0, len(entries), m):
+        v = entries[i:i + m]
+        for t in range(m):
+            c = v[t]
+            if c:
+                b = basis.get(t)
+                if b is None:
+                    basis[t] = v
+                    break
+                v = [(b[t] * x - c * y) % p for x, y in zip(v, b)]
+    return len(basis)
+
+
 def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
     """The rank of a k x m matrix as a function of its ambient index,
     with nothing of size q^(km) built or read."""
-    return lambda idx: rank(Mat._of(field, k, m, digits(idx, field.q, k * m)))
+    q, n = field.q, k * m
+    if field.e == 1 and q > 3:
+        return lambda idx: _prime_rank(q, m, digits(idx, q, n))
+    return lambda idx: rank(Mat._of(field, k, m, digits(idx, q, n)))
 
 
 def kernel(M: Mat) -> Subspace:

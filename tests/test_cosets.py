@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.ambient import mat_index, rank_table
+from rankcov.ambient import mat_index
 from rankcov.gfield import add_index, field_from_order, make_field
 from rankcov.matlin import (Mat, enumerate_subspaces, random_matrix, rank,
                             rank_of_index)
-from rankcov import codes
+from rankcov import ambient, codes
 from rankcov.codes import GuardExceeded, RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.cosets import (annihilator, coset_profile, high_dim_section_count,
@@ -84,14 +84,6 @@ def _indexed_profile(C, x):
     return W
 
 
-def _table_profile(C, x, table):
-    """W(C+X), X indexed by x, read off the rank table."""
-    W = [0] * (C.k + 1)
-    for w in C.word_indices():
-        W[table[add_index(C.field, w, x)]] += 1
-    return W
-
-
 @pytest.mark.parametrize("q, k, m, dim", ((4, 3, 4, 3), (2, 3, 7, 17)))
 def test_translates_above_table_cap_match_the_listed_words(q, k, m, dim):
     # 4^12 and 2^21 matrices; the GF(2) code's 17 basis vectors fill two
@@ -105,19 +97,18 @@ def test_translates_above_table_cap_match_the_listed_words(q, k, m, dim):
 
 
 @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
-def test_translates_agree_on_both_sides_of_the_table_cap(q):
+def test_translates_agree_on_both_sides_of_the_table_cap(q, table_profile):
     # lanes (p <= 3) or one word at a time (p >= 5) against the rank
     # table, read directly, and the listed words, for linear codes and sets
     F = field_from_order(q)
     rng = random.Random(46)
     k, m = (2, 2) if q >= 5 else (2, 3)
-    table = rank_table(F, k, m)
     xs = [0] + [rng.randrange(q ** (k * m)) for _ in range(4)]
     cs = [random_linear_code(F, k, m, dim, rng) for dim in (0, 2, k * m)]
     cs += [random_code(F, k, m, size, rng) for size in (1, 7)]
     got = [C.translate_weights(xs) for C in cs]
     assert got == [[_indexed_profile(C, x) for x in xs] for C in cs]
-    assert got == [[_table_profile(C, x, table) for x in xs] for C in cs]
+    assert got == [[table_profile(C, x) for x in xs] for C in cs]
 
 
 @pytest.mark.parametrize("q", (2, 3, 5))
@@ -132,6 +123,26 @@ def test_translate_indices_outside_the_ambient_space_are_refused(q):
             with pytest.raises(ValueError, match="outside"):
                 C.translate_weights([0, x])
         assert C.translate_weights([N - 1]) == [_indexed_profile(C, N - 1)]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+def test_coset_weights_match_the_table(q, table_profile, monkeypatch):
+    # every translate C + X, X in a subspace R of the complementary
+    # dimension (it may meet C), against the rank table: one lane pass
+    # split |C| lanes a translate (p <= 3) or each line's weights copied to
+    # its multiples (p >= 5); 8- or 3-lane chunks split translates too
+    F = field_from_order(q)
+    rng = random.Random(48)
+    k, m = (2, 2) if q > 3 else (2, 3)
+    for dim in (0, 1, 2, k * m):
+        C = random_linear_code(F, k, m, dim, rng)
+        R = random_linear_code(F, k, m, k * m - dim, rng).span
+        expected = [tuple(table_profile(C, x)) for x in R.indices()]
+        assert C.coset_weights(R) == expected
+        if F.p <= 3:
+            monkeypatch.setattr(ambient, "LANE_BITS", 3)
+            assert C.coset_weights(R) == expected
+            monkeypatch.undo()
 
 
 def test_section_count_matches_filter():

@@ -12,8 +12,8 @@ import random
 import pytest
 
 from rankcov import ambient
-from rankcov.ambient import (mat_index, pair_lanes, rank_counts, span_lanes,
-                             word_lanes)
+from rankcov.ambient import (lane_ranks, mat_index, pair_lanes, rank_counts,
+                             span_lanes, word_lanes)
 from rankcov.codes import RankCode
 from rankcov.construct import gabidulin, random_code, random_linear_code
 from rankcov.gfield import field_from_order
@@ -70,6 +70,8 @@ def test_kernel_matches_rank_of_index_on_every_index(q, k, m):
         == per_word_counts(F, k, m, everything)
     rng = random.Random(N + k)
     rng.shuffle(everything)
+    assert lane_ranks(F, k, m, planes_of(everything, k * m * F.e), N) \
+        == bytes(map(rank_at, everything))
     for size in (3, 7, 100, 1000):
         for s in range(0, N, size):
             part = everything[s:s + size]

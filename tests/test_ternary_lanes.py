@@ -12,8 +12,8 @@ import random
 import pytest
 
 from rankcov import ambient
-from rankcov.ambient import (mat_index, pair_lanes, rank_counts, span_lanes,
-                             word_lanes)
+from rankcov.ambient import (lane_ranks, mat_index, pair_lanes, rank_counts,
+                             span_lanes, word_lanes)
 from rankcov.codes import RankCode
 from rankcov.construct import random_code, random_linear_code
 from rankcov.gfield import add_index, digits, field_from_order
@@ -89,6 +89,8 @@ def test_kernel_matches_rank_of_index_on_every_index(q, k, m):
         == per_word_counts(F, k, m, everything)
     rng = random.Random(N + k)
     rng.shuffle(everything)
+    assert lane_ranks(F, k, m, planes_of(everything, k * m * F.e), N) \
+        == bytes(map(rank_at, everything))
     for size in (5, 100, 1000):
         for s in range(0, N, size):
             part = everything[s:s + size]
@@ -179,18 +181,14 @@ def test_linear_weights_match_the_per_word_path(q):
 
 
 @pytest.mark.parametrize("q,k,m", [(3, 3, 3), (9, 2, 2)])
-def test_translates_above_a_patched_cap_match_the_table(q, k, m, monkeypatch):
+def test_translates_above_a_patched_cap_match_the_table(q, k, m, monkeypatch,
+                                                       table_profile):
     F = field_from_order(q)
     rng = random.Random(50 + q)
     cs = [random_linear_code(F, k, m, dim, rng) for dim in (0, 2, k * m - 1)]
     cs += [random_code(F, k, m, size, rng) for size in (1, 30)]
     xs = [0] + [rng.randrange(q ** (k * m)) for _ in range(5)]
-    table = ambient.rank_table(F, k, m)
-    below = [[[0] * (k + 1) for _ in xs] for _ in cs]  # read off the table
-    for C, Ws in zip(cs, below):
-        for x, W in zip(xs, Ws):
-            for w in C.word_indices():
-                W[table[add_index(F, w, x)]] += 1
+    below = [[table_profile(C, x) for x in xs] for C in cs]
     assert [C.translate_weights(xs) for C in cs] == below
     monkeypatch.setattr(ambient, "LANE_BITS", 3)  # chunks of 3 lanes
     fresh = [RankCode.from_generators(F, k, m, list(C.basis)) if C.linear
