@@ -6,13 +6,15 @@ m space-separated integers in [0, q), blocks separated by one blank line.
 `#` starts a comment anywhere.  Entries are the integer element encoding
 of GF(q).
 
-Exit codes: 0 success, 2 parse error or input a command rejects (the
-library's ValueError), 3 search-guard refusal.
+Exit codes: 0 success, 1 the reader closed the output pipe, 2 parse
+error, unreadable path or input a command rejects (the library's
+ValueError), 3 search-guard refusal.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -377,9 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
-        # a ValueError is input the library rejects, e.g. a set code
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ParseError, OSError, ValueError) as exc:
+        # a ValueError is input the library rejects, e.g. a set code; an
+        # OSError a path that cannot be read, e.g. a directory
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
     except GuardExceeded as exc:

@@ -45,6 +45,8 @@ class RankCode:
     def __init__(self, field: FieldSpec, k: int, m: int, *,
                  span: Optional[Subspace] = None,
                  indices: Optional[Tuple[int, ...]] = None):
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         if k > m:
             raise ValueError("the standing assumption k <= m is violated")
         self.field, self.k, self.m = field, k, m
@@ -183,13 +185,10 @@ class RankCode:
         return list(self._weight_distribution)
 
     def _enumerated_weights(self) -> List[int]:
-        F = self.field
-        if F.p <= 3:
-            return self._rank_counts(self._lanes(0))
-        words = self.word_indices()
-        if not self.linear:
-            return self._shifted_weights(words, 0)
-        q = F.q
+        """The translate at 0; a p >= 5 linear code ranks a word per line."""
+        if not self.linear or self.field.p <= 3:
+            return self.translate_weights([0])[0]
+        q, words = self.field.q, self.word_indices()
         W = self._shifted_weights((w for j in range(self.span.dim)
                                    for w in words[q ** j: 2 * q ** j]), 0)
         return [1] + [(q - 1) * w for w in W[1:]]
@@ -210,33 +209,33 @@ class RankCode:
 
     def coset_weights(self, R: Subspace) -> List[Tuple[int, ...]]:
         """The weight distribution of C+X for each X in R.indices(), C
-        linear: characteristic 2 and 3 rank C + R in one lane pass, C first,
-        so each |C| lanes in a row make one translate; p >= 5 ranks the
-        translates through the X whose last nonzero coefficient is 1 and
-        copies each to its multiples, as c(C+X) = C + cX has its weights."""
+        linear: if a translate fits in a lane chunk, characteristic 2 and 3
+        split one lane pass over C + R, C first, |C| lanes a translate, else
+        :meth:`translate_weights` ranks them, for p >= 5 only the X whose
+        last nonzero coefficient is 1 (c(C+X) = C + cX has their weights)."""
         check_guard(self.cardinality(), "coset enumeration over {count} "
                     "codewords exceeds the guard {guard}")
         F, k, size = self.field, self.k, self.cardinality()
         if F.p <= 3:
-            out, step = [], 1
+            out = []
             for planes, lanes in span_lanes(
                     self._lane_basis(self.span.rows + R.rows),
                     k * self.m * F.e, 0, F.p):
+                if size > lanes:  # a translate spans chunks
+                    return list(map(tuple, self.translate_weights(
+                        R.indices())))
                 ranks, parts = lane_ranks(F, k, self.m, planes, lanes), {}
-                step = max(1, size // lanes)  # chunks per translate
                 for a in range(0, lanes, size):
                     part = ranks[a:a + size]  # equal parts: equal weights
                     if part not in parts:
                         parts[part] = tuple(map(part.count, range(k + 1)))
                     out.append(parts[part])
-            if step > 1:
-                out = [tuple(map(sum, zip(*out[i:i + step])))
-                       for i in range(0, len(out), step)]
             return out
         q, f, xs = F.q, R.dim, R.indices()
-        words, out = self.word_indices(), [None] * q ** f
-        for j in [0] + [j for t in range(f) for j in range(q ** t, 2 * q ** t)]:
-            W = tuple(self._shifted_weights(words, xs[j]))
+        reps = [0] + [j for t in range(f) for j in range(q ** t, 2 * q ** t)]
+        out = [None] * q ** f
+        for j, W in zip(reps, self.translate_weights([xs[j] for j in reps])):
+            W = tuple(W)
             for c in range(1, q):
                 out[scale_index(F, c, j, f)] = W
         return out

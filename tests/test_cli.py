@@ -1,5 +1,8 @@
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +286,45 @@ def test_gen_random_deterministic(tmp_path, capsys):
 
 def test_gen_random_requires_shape_flag(capsys):
     assert main(["gen", "random", "--q", "2", "--k", "2", "--m", "2"]) == 2
+
+
+@pytest.mark.parametrize("shape", (["--m", "2", "--dim", "0"],
+                                   ["--m", "0", "--dim", "0"],
+                                   ["--m", "2", "--size", "1"]))
+def test_gen_random_with_k_0_exits_2(capsys, shape):
+    # a k = 0 code would be written as a file that parse rejects
+    assert main(["gen", "random", "--q", "2", "--k", "0"] + shape) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "k must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("argv", (["info", "{d}"],
+                                  ["puncture", "--A", "{d}", "--u", "1", "{f}"]))
+def test_unreadable_path_exits_2(tmp_path, capsys, argv):
+    d = tmp_path / "adir"
+    d.mkdir()
+    f = _example_file(tmp_path)
+    assert main([a.format(d=d, f=f) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert str(d) in err and "Traceback" not in err
+
+
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # the full table of the GF(2) 4x4 zero code is 65536 lines, far more
+    # than a pipe holds, so the writer is still writing when it closes
+    path = _write(tmp_path, "z.rmc", serialize(RankCode.zero_code(F2, 4, 4)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "rankcov", "cosets", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline().startswith(b"coset_")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_parse_failures_exit_2(tmp_path, capsys):

@@ -50,6 +50,11 @@ def test_k_le_m_enforced():
         RankCode.zero_code(F2, 3, 2)
 
 
+def test_k_at_least_1_enforced():
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        RankCode.zero_code(F2, 0, 2)
+
+
 def test_weight_distribution_zero_and_full():
     Z = RankCode.zero_code(F2, 2, 2)
     assert Z.weight_distribution() == [1, 0, 0]

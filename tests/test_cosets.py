@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rankcov.ambient import mat_index
-from rankcov.gfield import add_index, field_from_order, make_field
+from rankcov.gfield import add_index, digits, field_from_order, make_field
 from rankcov.matlin import (Mat, enumerate_subspaces, random_matrix, rank,
                             rank_of_index)
 from rankcov import ambient, codes
@@ -143,6 +143,52 @@ def test_coset_weights_match_the_table(q, table_profile, monkeypatch):
             monkeypatch.setattr(ambient, "LANE_BITS", 3)
             assert C.coset_weights(R) == expected
             monkeypatch.undo()
+
+
+def test_tables_and_weights_rank_through_translate_weights(monkeypatch):
+    # translate_weights is the one pass: a p >= 5 table asks it once for
+    # the line representatives (X = 0 and the X whose last nonzero digit
+    # is 1), a p <= 3 table whose translates span lane chunks asks it for
+    # every X and ranks no lanes itself, and a set's or a p <= 3 code's
+    # weights ask it for the translate at 0
+    calls, lane_calls, translate = [], [], RankCode.translate_weights
+
+    def spy(self, xs):
+        calls.append(list(xs))
+        return translate(self, xs)
+
+    def lane_spy(*args):
+        lane_calls.append(args)
+        return ambient.lane_ranks(*args)
+
+    monkeypatch.setattr(RankCode, "translate_weights", spy)
+    monkeypatch.setattr(codes, "lane_ranks", lane_spy)
+    rng = random.Random(49)
+
+    def table(q, k, m, dim):
+        F = field_from_order(q)
+        C = random_linear_code(F, k, m, dim, rng)
+        R = random_linear_code(F, k, m, k * m - dim, rng).span
+        calls.clear()
+        C.coset_weights(R)
+        return q, R.dim, R.indices()
+
+    for shape in ((5, 2, 2, 1), (7, 2, 2, 2)):
+        q, f, xs = table(*shape)
+        reps = [x for j, x in enumerate(xs) if j == 0 or
+                next(d for d in reversed(digits(j, q, f)) if d) == 1]
+        assert len(reps) == 1 + (q ** f - 1) // (q - 1)
+        assert calls == [reps]
+    for C in (random_code(field_from_order(5), 2, 2, 6, rng),
+              random_linear_code(F2, 3, 3, 4, rng),
+              random_linear_code(field_from_order(3), 2, 3, 3, rng)):
+        calls.clear()
+        C._enumerated_weights()
+        assert calls == [[0]]
+    monkeypatch.setattr(ambient, "LANE_BITS", 3)  # 8- or 3-lane chunks
+    for shape in ((2, 2, 3, 4), (3, 2, 3, 2)):
+        xs = table(*shape)[2]
+        assert calls == [xs] and not lane_calls
 
 
 def test_section_count_matches_filter():
