@@ -7,7 +7,8 @@ vector, so matrix addition is XOR of indices.  The packing never leaks
 into serialization.  In characteristic 2 and 3 :func:`rank_counts` ranks
 a whole pass of matrices at once, one bit lane per matrix, gathering
 each row's pivot entries from the columns that led and updating the
-later rows entry by entry (one AND/XOR over GF(2)), and
+later rows entry by entry (one AND/XOR over GF(2), one fused a x - b y
+folded through the modulus over GF(2^e) and GF(3^e)), and
 :func:`lane_ranks` reads off each lane's rank; the codeword passes in
 :mod:`codes` use them, and :func:`matlin.rank_of_index` ranks one matrix
 from its index for p >= 5.
@@ -195,56 +196,50 @@ def pair_lanes(words: Sequence[int], nbits: int,
         yield out, r * n
 
 
-@lru_cache(maxsize=8)
-def _product_terms(field: FieldSpec) -> tuple:
-    """For GF(p^e): per output digit i, the pairs (d, c) with d <= 2e - 2
-    and c the nonzero digit i of x^d, with x^d read off ``field.mul``."""
-    p, e = field.p, field.e
-    powers = [p ** d if d < e else field.mul(p ** (e - 1), p ** (d - e + 1))
-              for d in range(2 * e - 1)]
-    return tuple(tuple((d, c) for d, x in enumerate(powers)
-                       if (c := x // p ** i % p)) for i in range(e))
-
-
-def _mul_planes(terms: tuple, a: List[int], x: List[int]) -> List[int]:
-    """Lane-wise product of the GF(2^e) elements held as e planes each."""
+def _update2(mod: Sequence[int], a: List[int], x: List[int], b: List[int],
+             y: List[int]) -> List[int]:
+    """a x - b y, lane-wise, for GF(2^e) elements held as e planes each:
+    the products summed by degree, then degrees 2e - 2 down to e folded
+    through the modulus, x^d = x^(d-e) (sum of x^i with mod[i] = 1)."""
     e = len(a)
-    by_degree = [0] * (2 * e - 1)
-    for s, ps in enumerate(a):
-        if ps:
-            for t, pt in enumerate(x):
-                by_degree[s + t] ^= ps & pt
-    out = []
-    for ds in terms:
-        acc = 0
-        for d, _ in ds:
-            acc ^= by_degree[d]
-        out.append(acc)
-    return out
-
-
-def _mul_planes3(terms: tuple, a: List[int], x: List[int]) -> List[int]:
-    """Lane-wise product of the GF(3^e) elements held as e plane pairs
-    each; -y is y with its two plane XOR its nonzero plane."""
-    if len(a) == 2:
-        nz = a[0] & x[0]
-        return [nz, nz & (a[1] ^ x[1])]
-    e = len(a) // 2
-    by_degree = [[0, 0] for _ in range(2 * e - 1)]
+    by = [0] * (2 * e - 1)
     for s in range(e):
-        if a[2 * s]:
-            for t in range(e):
-                nz, two = _mul_planes3(terms, a[2 * s:2 * s + 2],
-                                       x[2 * t:2 * t + 2])
-                by_degree[s + t] = sub3(*by_degree[s + t], nz, nz ^ two)
-    out = []
-    for ds in terms:
-        acc = [0, 0]
-        for d, c in ds:
-            y = by_degree[d]
-            acc = sub3(*acc, y[0], y[1] ^ y[0] * (c == 1))  # + c y
-        out += acc
-    return out
+        a_s, b_s = a[s], b[s]
+        for t in range(e):
+            by[s + t] ^= a_s & x[t] ^ b_s & y[t]
+    for d in range(2 * e - 2, e - 1, -1):  # a fold may reach degree >= e
+        for i in range(e):
+            if mod[i]:
+                by[d - e + i] ^= by[d]
+    return by[:e]
+
+
+def _update3(mod: Sequence[int], a: List[int], x: List[int], b: List[int],
+             y: List[int]) -> List[int]:
+    """a x - b y, lane-wise, for GF(3^e) elements held as e plane pairs
+    each: the products a_s x_t - b_s y_t summed into degree s + t, then
+    degrees 2e - 2 down to e folded through the modulus, by[d - e + i]
+    -= mod[i] by[d].  A digit product is nonzero where both are and 2
+    where they differ; -y is y with its two plane XOR its nonzero plane."""
+    if len(a) == 2:
+        u, v = a[0] & x[0], b[0] & y[0]
+        return list(sub3(u, u & (a[1] ^ x[1]), v, v & (b[1] ^ y[1])))
+    e = len(a) // 2
+    by = [(0, 0)] * (2 * e - 1)
+    for s in range(e):
+        a0, a1, b0, b1 = a[2 * s:2 * s + 2] + b[2 * s:2 * s + 2]
+        for t in range(e):
+            x0, x1, y0, y1 = x[2 * t:2 * t + 2] + y[2 * t:2 * t + 2]
+            u, v = a0 & x0, b0 & y0
+            u1 = u & (a1 ^ x1)
+            by[s + t] = sub3(*sub3(*by[s + t], v, v & (b1 ^ y1)), u, u ^ u1)
+    for d in range(2 * e - 2, e - 1, -1):  # a fold may reach degree >= e
+        nz, two = by[d]
+        for i in range(e):
+            if mod[i]:  # subtract by[d] for 1, add it (subtract -by[d]) for 2
+                by[d - e + i] = sub3(*by[d - e + i], nz,
+                                     two ^ nz if mod[i] == 2 else two)
+    return [z for pair in by[:e] for z in pair]
 
 
 def rank_counts(field: FieldSpec, k: int, m: int, planes: Sequence[int],
@@ -280,8 +275,11 @@ def _ranked(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     from row t, lane by lane, from the columns that led, each masked by
     its L_j.  Over GF(2) an entry is one plane, a = 1 and a row is
     updated with one AND/XOR per entry; otherwise an entry is its list of
-    planes and the update a product of e x e digits reduced through the
-    modulus and a difference, per characteristic.  A pivot column
+    planes and the update one call of ``_update2`` or ``_update3``: the
+    e x e digit products of a X_j - b_j P summed by degree and folded once
+    through ``field.modulus``, which is over GF(p), so the digits are the
+    polynomial-basis coordinates, for every field ``field_from_order``
+    returns.  A pivot column
     cancels itself, and the lanes where a column led at an earlier row
     are masked out of every later lead and gather, so what the update
     writes there is never read.
@@ -292,15 +290,7 @@ def _ranked(field: FieldSpec, k: int, m: int, planes: Sequence[int],
     else:  # rows[i][j]: the planes of entry (i, j)
         rows = [[list(planes[w * t: w * t + w])
                  for t in range(m * i, m * i + m)] for i in range(k)]
-        terms = _product_terms(field)
-        if field.p == 2:
-            mul, sub = _mul_planes, lambda x, y: [u ^ v for u, v in zip(x, y)]
-        else:
-            mul = _mul_planes3
-
-            def sub(x, y):  # e plane pairs each
-                return [z for i in range(0, len(x), 2)
-                        for z in sub3(x[i], x[i + 1], y[i], y[i + 1])]
+        update = _update2 if field.p == 2 else _update3
     used = [0] * m
     ranked = [(1 << lanes) - 1]  # ranked[r]: lanes with >= r leads so far
     for i, row in enumerate(rows):
@@ -339,8 +329,8 @@ def _ranked(field: FieldSpec, k: int, m: int, planes: Sequence[int],
             R, P = rows[t], [0] * w
             for j, L in leads:
                 P = [u | v & L for u, v in zip(P, R[j])]
-            rows[t] = [sub(mul(terms, a, x), mul(terms, b, P)) if any(b)
-                       else x for x, b in zip(R, row)]
+            rows[t] = [update(field.modulus, a, x, b, P) if any(b) else x
+                       for x, b in zip(R, row)]
     return ranked
 
 

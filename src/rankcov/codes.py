@@ -234,10 +234,15 @@ class RankCode:
         q, f, xs = F.q, R.dim, R.indices()
         reps = [0] + [j for t in range(f) for j in range(q ** t, 2 * q ** t)]
         out = [None] * q ** f
-        for j, W in zip(reps, self.translate_weights([xs[j] for j in reps])):
-            W = tuple(W)
-            for c in range(1, q):
-                out[scale_index(F, c, j, f)] = W
+        weights = [tuple(W) for W in self.translate_weights(
+            [xs[j] for j in reps])]
+        for c in range(1, q):  # pos[j]: where c times R's vector j sits
+            pos = [0]
+            for t in range(f):
+                pos += [w + F.mul(c, d) * q ** t for d in range(1, q)
+                        for w in pos]
+            for j, W in zip(reps, weights):
+                out[pos[j]] = W
         return out
 
     def _shifted_weights(self, words: Iterable[int], x: int) -> List[int]:

@@ -180,12 +180,27 @@ def _poly_mod(F, num: Tuple[int, ...], den: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _is_irreducible(F, poly: Tuple[int, ...]) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for low in range(F.q ** d):
-            if not _poly_mod(F, poly, digits(low, F.q, d) + (1,)):
-                return False
+    """Ben-Or's test for a monic poly of degree n over F: irreducible iff
+    gcd(x^(Q^i) - x mod poly, poly) = 1 for i = 1..n/2, Q = |F| (Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981).  A factor of
+    degree d <= n/2 divides x^(Q^d) - x, so the scan needs no trial
+    division by the Q^d monic polynomials of each degree."""
+    h = (0, 1)  # x^(Q^i) mod poly, from i = 0
+    for _ in range((len(poly) - 1) // 2):
+        power, h, n = h, (1,), F.q
+        while n:  # h = power^Q mod poly
+            if n & 1:
+                h = _poly_mod(F, _poly_mul(F, h, power), poly)
+            power = _poly_mod(F, _poly_mul(F, power, power), poly)
+            n >>= 1
+        a, b = poly, list(h) + [0] * (2 - len(h))
+        b[1] = F.sub(b[1], 1)
+        while b and not b[-1]:
+            b.pop()
+        while b:  # Euclid: gcd(h - x, poly)
+            a, b = b, _poly_mod(F, a, b)
+        if len(a) > 1:
+            return False
     return True
 
 

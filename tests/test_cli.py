@@ -309,16 +309,36 @@ def test_unreadable_path_exits_2(tmp_path, capsys, argv):
     assert str(d) in err and "Traceback" not in err
 
 
+def _child_env():
+    """The environment of a rankcov child process run from the source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_gabidulin_over_gf_2_64_is_built_at_once(tmp_path):
+    # GF(2^64)'s modulus: trial division would take about 2^32 divisions
+    argv = [sys.executable, "-m", "rankcov"]
+    gen = subprocess.run(argv + ["gen", "gabidulin", "--q", "2", "--k", "2",
+                                 "--m", "64", "--d", "2"],
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=30)
+    assert gen.returncode == 0 and "\ncount 64\n" in gen.stdout
+    path = _write(tmp_path, "g64.rmc", gen.stdout)
+    bounds = subprocess.run(argv + ["bounds", path], capture_output=True,
+                            text=True, env=_child_env(), timeout=30)
+    assert bounds.returncode == 3
+    assert bounds.stderr == ("code has 18446744073709551616 words, "
+                             "guard is 16777216\n")
+
+
 def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
     # the full table of the GF(2) 4x4 zero code is 65536 lines, far more
     # than a pipe holds, so the writer is still writing when it closes
     path = _write(tmp_path, "z.rmc", serialize(RankCode.zero_code(F2, 4, 4)))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "rankcov", "cosets", path],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
+                            env=_child_env())
     assert proc.stdout.readline().startswith(b"coset_")
     proc.stdout.close()
     err = proc.stderr.read()

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from rankcov.gfield import (FieldSpec, digits, extension_field,
-                            field_from_order, make_field, undigits)
-from rankcov.gfield import _is_irreducible, _mul_codes
+                            field_from_order, least_modulus, make_field,
+                            undigits)
+from rankcov.gfield import _is_irreducible, _mul_codes, _poly_mod
 
 
 def test_prime_field_trivial_modulus():
@@ -32,6 +33,24 @@ def test_gf9_modulus_matches_exhaustive_search():
     # no root in GF(3)
     for x in range(3):
         assert (F.modulus[0] + F.modulus[1] * x + x * x) % 3 != 0
+
+
+def least_by_trial_division(F, degree):
+    """The least monic polynomial of the degree with no monic factor of
+    degree 1..degree/2, found by dividing by every such factor."""
+    for low in range(F.q ** degree):
+        poly = digits(low, F.q, degree) + (1,)
+        if all(_poly_mod(F, poly, digits(f, F.q, d) + (1,))
+               for d in range(1, degree // 2 + 1) for f in range(F.q ** d)):
+            return poly
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_least_modulus_matches_trial_division(q):
+    F = field_from_order(q)
+    for degree in range(1, 7):
+        assert least_modulus(F, degree) \
+            == least_by_trial_division(F, degree), degree
 
 
 def test_gf4_multiplication():

@@ -108,6 +108,17 @@ def test_kernel_on_sampled_indices(q, k, m):
     assert kernel_counts(F, k, m, sample) == per_word_counts(F, k, m, sample)
 
 
+@pytest.mark.parametrize("q", (81, 243, 2187))
+def test_kernel_on_larger_fields(q, kernel_sample):
+    # GF(2187)'s modulus x^7 + x^2 + 2 folds a folded degree again
+    F = field_from_order(q)
+    rng = random.Random(q)
+    for k, m in ((1, 2), (2, 2), (2, 3)):
+        sample = kernel_sample(F, k, m, rng)
+        assert kernel_counts(F, k, m, sample) \
+            == per_word_counts(F, k, m, sample)
+
+
 @pytest.mark.parametrize("q", (3, 9))
 def test_span_lanes_carry_constants_across_chunks(q, monkeypatch):
     F = field_from_order(q)
