@@ -12,6 +12,7 @@ fields with the same (p, e) are bit-for-bit identical.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import Optional, Tuple
 
 MAX_ORDER = 1 << 16
@@ -20,19 +21,26 @@ MAX_ORDER = 1 << 16
 _TABLE_CAP = 1 << 10
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _least_factor(n: int) -> int:
+    """The least factor d >= 2 of n if d <= isqrt(MAX_ORDER), else n.
+    Every composite within the cap has such a factor, so an n >= 2 with
+    none is prime or above the cap, and no n costs over 255 divisions."""
+    return next((d for d in range(2, isqrt(MAX_ORDER) + 1) if n % d == 0), n)
+
+
+def _prime_power(q: int) -> Tuple[int, int]:
+    """(p, e) with q = p^e; a q above the cap with no factor up to
+    isqrt(MAX_ORDER) comes back as (q, 1), which make_field refuses by
+    the cap."""
+    if q < 2:
+        raise ValueError("field order must be at least 2")
+    p = _least_factor(q)
+    n, e = q // p, 1
+    while n % p == 0:
+        n, e = n // p, e + 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 _CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"  # digits as int() reads them
@@ -283,8 +291,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self.p == 2:  # element codes are GF(2) coordinate vectors
-            return a ^ b
         return add_index(self, a, b)
 
     def neg(self, a: int) -> int:
@@ -297,8 +303,6 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
         return add_index(self, a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -343,8 +347,12 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, e: int = 1) -> FieldSpec:
-    """Return GF(p^e) with the canonical (lexicographically least) modulus."""
-    if not _is_prime(p):
+    """Return GF(p^e) with the canonical (lexicographically least) modulus.
+
+    p is tested by :func:`_least_factor`'s bounded trial division: a p
+    above the cap MAX_ORDER is refused at once, by the cap if it has no
+    factor up to isqrt(MAX_ORDER) and as not prime otherwise."""
+    if p < 2 or _least_factor(p) != p:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
@@ -368,19 +376,6 @@ def extension_field(q: int, m: int) -> FieldSpec:
 
 
 def field_from_order(q: int) -> FieldSpec:
-    """Return GF(q) for a prime power q."""
-    if q < 2:
-        raise ValueError("field order must be at least 2")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return make_field(p, e)
-        p += 1
-    return make_field(q, 1)
+    """Return GF(q) for a prime power q: make_field(p, e) with q = p^e,
+    so an order above the cap is refused without a primality test."""
+    return make_field(*_prime_power(q))

@@ -153,6 +153,8 @@ class Subspace:
                  basis: Sequence[Sequence[int]]):
         rows = [tuple(r) for r in basis]
         _check_rows(field, ambient, rows)
+        if field.p == 2:
+            rows = [undigits(r, field.q) for r in rows]
         self.field, self.ambient, self._basis = field, ambient, None
         self.rows, self.pivots = _rref(field, ambient, rows)
 
@@ -168,9 +170,9 @@ class Subspace:
     @classmethod
     def of_indices(cls, field: FieldSpec, ambient: int, rows) -> "Subspace":
         """The span of the vectors indexed by rows (packed in char. 2)."""
-        if field.p == 2:
-            return cls._of(field, ambient, *_rref(field, ambient, rows, True))
-        return cls(field, ambient, [digits(r, field.q, ambient) for r in rows])
+        if field.p != 2:
+            rows = [digits(r, field.q, ambient) for r in rows]
+        return cls._of(field, ambient, *_rref(field, ambient, rows))
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient: int) -> "Subspace":
@@ -197,7 +199,7 @@ class Subspace:
         _check_rows(self.field, self.ambient, [vec])
         rows = (self.rows + (undigits(vec, self.field.q),) if self.field.p == 2
                 else self.basis + (tuple(vec),))
-        return len(_echelon(self.field, self.ambient, rows, True)) == self.dim
+        return len(_echelon(self.field, self.ambient, rows)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
@@ -227,7 +229,7 @@ class Subspace:
                         break
                     v[p] = F.neg(row // w % q)
             out.append(v)
-        return Subspace._of(F, n, *_rref(F, n, out, F.p == 2))
+        return Subspace._of(F, n, *_rref(F, n, out))
 
     def zero_head(self, h: int) -> "Subspace":
         """The vectors whose first h coordinates vanish, those coordinates
@@ -273,10 +275,9 @@ def _check_rows(field: FieldSpec, n: int, rows: Sequence[Sequence[int]]) -> None
                          f"codes in [0, {field.q})")
 
 
-def _echelon(field: FieldSpec, n: int, rows: Iterable,
-             packed: bool = False) -> Dict[int, object]:
-    """Forward elimination of rows of n element codes (indices in char. 2
-    if packed): {pivot column: row}, 1 at its pivot and 0 before it, held
+def _echelon(field: FieldSpec, n: int, rows: Iterable) -> Dict[int, object]:
+    """Forward elimination of rows of n element codes (their indices in
+    char. 2): {pivot column: row}, 1 at its pivot and 0 before it, held
     as its index in characteristic 2, where adding is XOR, as the planes
     (entry t is nonzero, is 2) of the ternary lanes over GF(3), else as
     a list of element codes."""
@@ -306,7 +307,7 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable,
         return basis
     e, mask = field.e, field.q - 1
     basis = {}
-    for v in rows if packed else [undigits(r, mask + 1) for r in rows]:
+    for v in rows:
         while v:
             t = ((v & -v).bit_length() - 1) // e
             c = v >> e * t & mask
@@ -319,12 +320,12 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable,
     return basis
 
 
-def _rref(field: FieldSpec, n: int, rows: Iterable, packed: bool = False):
-    """RREF of rows of n element codes, or of indices in characteristic 2
-    if packed: (its rows' indices, pivot columns).  Forward elimination,
-    then back-substitution from the rightmost pivot."""
+def _rref(field: FieldSpec, n: int, rows: Iterable):
+    """RREF of rows of n element codes, or of their indices in
+    characteristic 2: (its rows' indices, pivot columns).  Forward
+    elimination, then back-substitution from the rightmost pivot."""
     q, e = field.q, field.e
-    basis = _echelon(field, n, rows, packed)
+    basis = _echelon(field, n, rows)
     pivots = sorted(basis)
     for i in reversed(range(len(pivots))):
         t, b = pivots[i], basis[pivots[i]]
@@ -359,7 +360,7 @@ def rank(M: Mat) -> int:
         return len(_echelon(M.field, M.m, M.rows()))
     idx, w = undigits(M.entries, M.field.q), M.field.e * M.m  # e m bits a row
     return len(_echelon(M.field, M.m, [idx >> s & (1 << w) - 1
-                                       for s in range(0, M.k * w, w)], True))
+                                       for s in range(0, M.k * w, w)]))
 
 
 def _prime_rank(p: int, m: int, entries: Sequence[int]) -> int:

@@ -37,7 +37,6 @@ def subspace_moebius(s: int, t: int, q: int) -> int:
     return (-1) ** d * q ** (d * (d - 1) // 2)
 
 
-@lru_cache(maxsize=None)
 def krawtchouk(i: int, j: int, k: int, m: int, q: int) -> int:
     """Eigenvalue P_i(j) of the rank-metric association scheme on F_q^{k x m}."""
     if not (0 <= i <= k and 0 <= j <= k and k <= m):

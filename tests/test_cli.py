@@ -332,6 +332,28 @@ def test_gabidulin_over_gf_2_64_is_built_at_once(tmp_path):
                              "guard is 16777216\n")
 
 
+# a prime of 21 digits: a primality test by trial division up to its
+# square root never ends, so the cap must refuse it first
+HUGE_Q = 100000000000000000039
+
+
+def test_huge_field_order_is_refused_at_once(tmp_path):
+    path = _write(tmp_path, "huge.rmc", f"rmc 1\nq {HUGE_Q}\nk 1\nm 1\n"
+                  "kind linear\ncount 0\n")
+    info = subprocess.run([sys.executable, "-m", "rankcov", "info", path],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=10)
+    assert info.returncode == 2
+    assert info.stderr == (f"{path}:2: field order {HUGE_Q} exceeds the "
+                           "cap 65536\n")
+    code = ("from rankcov.gfield import make_field\n"
+            f"try:\n    make_field({HUGE_Q})\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=_child_env(), timeout=10)
+    assert child.stdout == f"field order {HUGE_Q} exceeds the cap 65536\n"
+
+
 def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
     # the full table of the GF(2) 4x4 zero code is 65536 lines, far more
     # than a pipe holds, so the writer is still writing when it closes

@@ -190,6 +190,39 @@ def test_large_field_no_tables():
     assert F.mul(a, F.add(b, 1)) == F.add(F.mul(a, b), a)
 
 
+# -- the order gate: bounded trial division, the cap before primality --
+
+@pytest.mark.parametrize("q,message", [
+    (0, "field order must be at least 2"),
+    (1, "field order must be at least 2"),
+    (6, "6 is not a prime power"), (12, "12 is not a prime power"),
+    (70000, "70000 is not a prime power"),
+    (65537, "field order 65537 exceeds the cap 65536"),
+    (131072, "field order 131072 exceeds the cap 65536"),
+    # composites above the cap with no prime factor up to 256
+    (257 * 263, "field order 67591 exceeds the cap 65536"),
+    (1000003 * 1000033, "field order 1000036000099 exceeds the cap 65536")])
+def test_field_from_order_messages(q, message):
+    with pytest.raises(ValueError) as exc:
+        field_from_order(q)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("p", [1, 4, 241 * 251])
+def test_make_field_rejects_a_non_prime(p):
+    with pytest.raises(ValueError) as exc:
+        make_field(p)
+    assert str(exc.value) == f"{p} is not prime"
+
+
+def test_largest_prime_below_the_divisor_bound_is_factored():
+    # 251 is the largest prime up to isqrt(2^16) = 256: a bound below it
+    # would read 251^2 as prime
+    F = field_from_order(251 ** 2)
+    assert F is make_field(251, 2)
+    assert (F.p, F.e) == (251, 2)
+
+
 # -- the digit codec against the plain division loop --
 
 # every prime power up to 36, where int() parses the digits, and two above
