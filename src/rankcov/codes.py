@@ -49,6 +49,9 @@ class RankCode:
             raise ValueError(f"k must be at least 1, got {k}")
         if k > m:
             raise ValueError("the standing assumption k <= m is violated")
+        if field.e > 1 and field.base.e > 1:  # the lanes fold over GF(p)
+            raise ValueError(f"{field} over GF({field.base.q}) cannot carry "
+                             f"a code: use field_from_order({field.q})")
         self.field, self.k, self.m = field, k, m
         self.linear = span is not None
         self.span, self.indices = span, indices  # indices: sorted, distinct

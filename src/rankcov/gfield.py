@@ -192,7 +192,11 @@ def _is_irreducible(F, poly: Tuple[int, ...]) -> bool:
     gcd(x^(Q^i) - x mod poly, poly) = 1 for i = 1..n/2, Q = |F| (Ben-Or,
     "Probabilistic algorithms in finite fields", FOCS 1981).  A factor of
     degree d <= n/2 divides x^(Q^d) - x, so the scan needs no trial
-    division by the Q^d monic polynomials of each degree."""
+    division by the Q^d monic polynomials of each degree.  A poly with
+    no term at an exponent prime to p = char F has derivative 0, so it
+    is a p-th power, as every element of F is, and fails at once."""
+    if not any(c for i, c in enumerate(poly) if i % F.p):
+        return False
     h = (0, 1)  # x^(Q^i) mod poly, from i = 0
     for _ in range((len(poly) - 1) // 2):
         power, h, n = h, (1,), F.q

@@ -9,7 +9,8 @@ A Subspace keeps each RREF row as its ambient index, the codec of
 :func:`gfield.digits`, and decodes rows to element codes only when its
 ``basis`` is read.  Elimination runs on packed rows: one int per row in
 characteristic 2, where adding rows is XOR, and a pair of bit planes per
-row over GF(3); other fields eliminate lists of element codes.
+row over GF(3); other fields eliminate rows of element codes
+fraction-free, and scale a pivot row to 1 only for the RREF.
 """
 
 from __future__ import annotations
@@ -277,10 +278,12 @@ def _check_rows(field: FieldSpec, n: int, rows: Sequence[Sequence[int]]) -> None
 
 def _echelon(field: FieldSpec, n: int, rows: Iterable) -> Dict[int, object]:
     """Forward elimination of rows of n element codes (their indices in
-    char. 2): {pivot column: row}, 1 at its pivot and 0 before it, held
-    as its index in characteristic 2, where adding is XOR, as the planes
-    (entry t is nonzero, is 2) of the ternary lanes over GF(3), else as
-    a list of element codes."""
+    char. 2): {pivot column: row}, 0 before its pivot.  A row is held as
+    its index in characteristic 2, where adding is XOR, or as the planes
+    (entry t is nonzero, is 2) of the ternary lanes over GF(3), 1 at its
+    pivot in both; else as element codes, eliminated fraction-free: v
+    becomes a v - c b at a pivot row b with a = b[t], so no pivot row is
+    scaled and no inverse taken."""
     if field.q == 3:
         basis = {}
         for nz, two in map(planes3, rows):
@@ -293,17 +296,20 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable) -> Dict[int, object]:
                 nz, two = sub3(nz, two, b[0], b[1] ^ b[0] * (two >> t & 1))
         return basis
     if field.p != 2:
-        mul, inv, sub = field.mul, field.inv, field.sub
-        basis = {}
+        p, prime, basis = field.p, field.e == 1, {}
+        if not prime:
+            mul, sub = field.mul, field.sub
         for v in rows:
             for t in range(n):
                 c = v[t]
                 if c:
                     b = basis.get(t)
                     if b is None:
-                        basis[t] = [mul(inv(c), x) for x in v]
+                        basis[t] = v
                         break
-                    v = [sub(x, mul(c, y)) for x, y in zip(v, b)]
+                    a = b[t]
+                    v = ([(a * x - c * y) % p for x, y in zip(v, b)] if prime
+                         else [sub(mul(a, x), mul(c, y)) for x, y in zip(v, b)])
         return basis
     e, mask = field.e, field.q - 1
     basis = {}
@@ -323,10 +329,16 @@ def _echelon(field: FieldSpec, n: int, rows: Iterable) -> Dict[int, object]:
 def _rref(field: FieldSpec, n: int, rows: Iterable):
     """RREF of rows of n element codes, or of their indices in
     characteristic 2: (its rows' indices, pivot columns).  Forward
-    elimination, then back-substitution from the rightmost pivot."""
+    elimination, each element row scaled to 1 at its pivot, then
+    back-substitution from the rightmost pivot."""
     q, e = field.q, field.e
     basis = _echelon(field, n, rows)
     pivots = sorted(basis)
+    if field.p != 2 and q > 3:
+        for t in pivots:
+            if basis[t][t] != 1:
+                c = field.inv(basis[t][t])
+                basis[t] = [field.mul(c, x) for x in basis[t]]
     for i in reversed(range(len(pivots))):
         t, b = pivots[i], basis[pivots[i]]
         for s in pivots[:i]:
@@ -354,39 +366,21 @@ def rref(M: Mat) -> Mat:
 
 
 def rank(M: Mat) -> int:
-    if M.field.e == 1 and M.field.p > 3:
-        return _prime_rank(M.field.p, M.m, M.entries)
-    if M.field.p != 2:
-        return len(_echelon(M.field, M.m, M.rows()))
-    idx, w = undigits(M.entries, M.field.q), M.field.e * M.m  # e m bits a row
-    return len(_echelon(M.field, M.m, [idx >> s & (1 << w) - 1
-                                       for s in range(0, M.k * w, w)]))
-
-
-def _prime_rank(p: int, m: int, entries: Sequence[int]) -> int:
-    """The rank of the rows of m entries mod p, forward eliminated
-    fraction-free (v becomes a v - c b, a the pivot of b) to skip the
-    inverses and scaled pivot rows."""
-    basis = {}
-    for i in range(0, len(entries), m):
-        v = entries[i:i + m]
-        for t in range(m):
-            c = v[t]
-            if c:
-                b = basis.get(t)
-                if b is None:
-                    basis[t] = v
-                    break
-                v = [(b[t] * x - c * y) % p for x, y in zip(v, b)]
-    return len(basis)
+    F, m = M.field, M.m
+    if F.p != 2:  # the rows: m entries at a time
+        return len(_echelon(F, m, zip(*[iter(M.entries)] * m)))
+    idx, w = undigits(M.entries, F.q), F.e * m  # e m bits a row
+    return len(_echelon(F, m, [idx >> s & (1 << w) - 1
+                               for s in range(0, M.k * w, w)]))
 
 
 def rank_of_index(field: FieldSpec, k: int, m: int) -> Callable[[int], int]:
     """The rank of a k x m matrix as a function of its ambient index,
     with nothing of size q^(km) built or read."""
     q, n = field.q, k * m
-    if field.e == 1 and q > 3:
-        return lambda idx: _prime_rank(q, m, digits(idx, q, n))
+    if field.p != 2:
+        return lambda idx: len(_echelon(field, m,
+                                        zip(*[iter(digits(idx, q, n))] * m)))
     return lambda idx: rank(Mat._of(field, k, m, digits(idx, q, n)))
 
 

@@ -245,6 +245,51 @@ def test_rejected_input_exits_2(tmp_path, capsys, argv, code, message):
     assert message in err and "Traceback" not in err
 
 
+# rmc files that fail to parse or to transform, each read by one command
+ONE_BLOCK = "rmc 1\nq 2\nk 1\nm 2\nkind linear\ncount 1\n"
+SQUARE = "rmc 1\nq 2\nk 2\nm 2\nkind linear\ncount "
+BAD_FILES = {
+    "eof": "# no block\n" + ONE_BLOCK + "\n",
+    "hdr": "rmc 1\nq 2\nk 2 3\n",
+    "int": "rmc 1\nq two\n",
+    "kind": "rmc 1\nq 2\nk 1\nm 2\nkind code\n",
+    "ent": ONE_BLOCK + "\n0 x\n",
+    "len": ONE_BLOCK + "\n0 1 1\n",
+    "trail": ONE_BLOCK + "\n0 1\n\n\n1 1\n",
+    "set": "rmc 1\nq 2\nk 1\nm 2\nkind set\ncount 1\n\n0 1\n",
+    "code": SQUARE + "1\n\n1 0\n0 1\n",
+    "two": SQUARE + "2\n\n1 0\n0 1\n\n0 1\n1 0\n",
+    "singular": SQUARE + "1\n\n1 1\n1 1\n",
+    "wide": "rmc 1\nq 2\nk 1\nm 2\nkind linear\ncount 1\n\n1 1\n"}
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["info", "{eof}"], "{eof}:9: unexpected end of file"),
+    (["info", "{hdr}"], "{hdr}:3: expected `k <value>`, got 'k 2 3'"),
+    (["info", "{int}"], "{int}:2: q must be an integer"),
+    (["info", "{kind}"], "{kind}:5: kind must be linear or set"),
+    (["info", "{ent}"], "{ent}:8: matrix entries must be integers"),
+    (["info", "{len}"], "{len}:8: expected 2 entries, got 3"),
+    (["info", "{trail}"], "{trail}:11: trailing content after blocks"),
+    (["cosets", "{set}"], "full coset tables require a linear code"),
+    (["puncture", "{code}", "--A", "{two}", "--u", "1"],
+     "{two}:1: transform file must hold one matrix (kind linear, a single "
+     "k x k generator)"),
+    (["puncture", "{code}", "--A", "{set}", "--u", "1"],
+     "{set}:1: transform file must hold one matrix (kind linear, a single "
+     "k x k generator)"),
+    (["shorten", "{code}", "--A", "{singular}", "--u", "1"],
+     "{singular}:1: transform must be k x k invertible"),
+    (["puncture", "{code}", "--A", "{wide}", "--u", "1"],
+     "{wide}:1: transform must be k x k invertible")])
+def test_bad_rmc_and_transform_files_exit_2(tmp_path, capsys, argv, err):
+    paths = {name: _write(tmp_path, f"{name}.rmc", text)
+             for name, text in BAD_FILES.items()}
+    assert main([a.format(**paths) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == err.format(**paths) + "\n"
+
+
 def test_initial_set_command(tmp_path, capsys):
     assert main(["initial-set", _example_file(tmp_path)]) == 0
     kv = _kv(capsys)
@@ -330,6 +375,16 @@ def test_gabidulin_over_gf_2_64_is_built_at_once(tmp_path):
     assert bounds.returncode == 3
     assert bounds.stderr == ("code has 18446744073709551616 words, "
                              "guard is 16777216\n")
+
+
+def test_gabidulin_over_gf_8192_squared_is_built_at_once():
+    # the modulus of GF(8192^2) over GF(8192): every x^2 + b is a square
+    # in characteristic 2, so none of the 8192 reaches Ben-Or's test
+    gen = subprocess.run([sys.executable, "-m", "rankcov", "gen", "gabidulin",
+                          "--q", "8192", "--k", "2", "--m", "2", "--d", "2"],
+                         capture_output=True, text=True, env=_child_env(),
+                         timeout=10)
+    assert gen.returncode == 0 and "\ncount 2\n" in gen.stdout
 
 
 # a prime of 21 digits: a primality test by trial division up to its

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankcov.gfield import field_from_order, make_field
+from rankcov.gfield import extension_field, field_from_order, make_field
 from rankcov.matlin import Mat, enumerate_subspaces, rank
 from rankcov.codes import RankCode
 from rankcov.construct import random_code, random_linear_code
@@ -48,6 +48,29 @@ def test_min_distance_rejects_singleton():
 def test_k_le_m_enforced():
     with pytest.raises(ValueError):
         RankCode.zero_code(F2, 3, 2)
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (9, 2), (4, 3)])
+def test_a_field_over_a_proper_extension_is_refused(q, m):
+    # the lanes fold entries through a modulus over GF(p), so GF(16) over
+    # GF(4) would rank with the wrong arithmetic
+    F = extension_field(q, m)
+    with pytest.raises(ValueError, match=rf"use field_from_order\({F.q}\)"):
+        random_linear_code(F, 2, 2, 2, 0)
+    with pytest.raises(ValueError, match="field_from_order"):
+        RankCode.zero_code(F, 1, 2)
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (9, 1)])
+def test_a_field_over_its_prime_field_carries_codes(q, m):
+    F = extension_field(q, m)
+    assert F == field_from_order(q ** m)
+    C = random_linear_code(F, 2, 2, 2, 0)
+    counts = [0, 0, 0]
+    for M in C.codewords():
+        counts[rank(M)] += 1
+    assert C.weight_distribution() == counts
+    assert counts[0] == 1 and sum(counts) == F.q ** 2
 
 
 def test_k_at_least_1_enforced():

@@ -10,7 +10,11 @@ vectors the input rows span; ``Subspace.contains`` is checked against
 that span; the complement, the zero-head section and the lazy basis are
 checked over fields of every kind; and ``rank`` is compared with the
 bit-sliced lanes of ``ambient.rank_counts`` on sampled matrices of every
-rank.
+rank.  Over the odd fields other than GF(3), which eliminate rows of
+element codes fraction-free, ``rank``, ``rank_of_index`` and the
+dimension of the RREF are compared with the size of the row space, log_q
+of the number of distinct combinations of the rows, and the RREF rows
+are checked to be 1 at their pivot and 0 at every other pivot.
 """
 
 import itertools
@@ -197,3 +201,76 @@ def test_rank_matches_the_lanes(q):
         assert [rank_at(x) for x in indices] == [rank(M) for M in sample]
         assert [rank(M) for M in sample] == [
             len(reference_rref(F, M.rows())[1]) for M in sample]
+
+
+# every odd field but GF(3) eliminates rows of element codes fraction-free
+ELEMENT_FIELDS = (5, 7, 9, 25, 27)
+
+
+def row_space_rank(field, rows):
+    """log_q of the number of distinct F_q-combinations of the rows: a
+    row outside the span of those before it multiplies their count by q,
+    one inside adds none.  The span is listed only while rows follow."""
+    vectors, rank = {(0,) * len(rows[0])}, 0
+    for i, r in enumerate(rows):
+        if tuple(r) in vectors:
+            continue
+        rank += 1
+        if i + 1 < len(rows):
+            vectors = {tuple(field.add(x, field.mul(c, y))
+                             for x, y in zip(v, r))
+                       for v in vectors for c in range(field.q)}
+            assert len(vectors) == field.q ** rank
+    return rank
+
+
+def element_samples(F, k, m, rng):
+    """k x m matrices over F: zero, rank 1 with a pivot other than 1,
+    full rank with such pivots in shuffled rows, repeated and scaled
+    rows, products of k x r and r x m matrices, and seeded ones."""
+    def vec():
+        return [rng.randrange(F.q) for _ in range(m)]
+
+    def nonzero():
+        return rng.randrange(2, F.q)
+    yield Mat.zero(F, k, m)
+    u, v = [nonzero() for _ in range(k)], [0] * (m - 1) + [nonzero()]
+    yield Mat.from_rows(F, [[F.mul(a, b) for b in v] for a in u])
+    full = [[0] * i + [nonzero()] + vec()[i + 1:] for i in range(k)]
+    rng.shuffle(full)
+    yield Mat.from_rows(F, full)
+    a, c = vec(), nonzero()
+    yield Mat.from_rows(F, ([a, [F.mul(c, x) for x in a]] + [a] * k)[:k])
+    for r in range(1, k + 1):
+        yield random_matrix(F, k, r, rng) @ random_matrix(F, r, m, rng)
+    for _ in range(8):
+        yield random_matrix(F, k, m, rng)
+
+
+@pytest.mark.parametrize("q", ELEMENT_FIELDS)
+def test_element_row_ranks_match_the_row_space(q):
+    F = field_from_order(q)
+    rng = random.Random(400 + q)
+    for k, m in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4)):
+        rank_at = rank_of_index(F, k, m)
+        ranks = set()
+        for M in element_samples(F, k, m, rng):
+            r = row_space_rank(F, M.rows())
+            assert rank(M) == rank_at(mat_index(M)) == r, (k, m, M)
+            assert Subspace(F, m, M.rows()).dim == r
+            ranks.add(r)
+        assert ranks == set(range(k + 1))
+
+
+@pytest.mark.parametrize("q", ELEMENT_FIELDS)
+def test_element_row_subspaces_are_reduced_echelon(q):
+    F = field_from_order(q)
+    rng = random.Random(500 + q)
+    for k, m in ((2, 3), (3, 4)):
+        for M in element_samples(F, k, m, rng):
+            S = Subspace(F, m, M.rows())
+            for row, p in zip(S.basis, S.pivots):
+                assert row[p] == 1 and not any(row[:p])
+                assert [r[p] for r in S.basis].count(0) == S.dim - 1
+            # the rows span the matrix's rows: adding them adds no rank
+            assert row_space_rank(F, S.basis + tuple(M.rows())) == S.dim

@@ -5,6 +5,7 @@ import pytest
 from rankcov.gfield import (FieldSpec, digits, extension_field,
                             field_from_order, least_modulus, make_field,
                             undigits)
+from rankcov import gfield
 from rankcov.gfield import _is_irreducible, _mul_codes, _poly_mod
 
 
@@ -51,6 +52,50 @@ def test_least_modulus_matches_trial_division(q):
     for degree in range(1, 7):
         assert least_modulus(F, degree) \
             == least_by_trial_division(F, degree), degree
+
+
+@pytest.mark.parametrize("q,degrees", [(2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
+def test_irreducibility_matches_trial_division_on_every_poly(q, degrees):
+    F = field_from_order(q)
+    for degree in range(1, degrees + 1):
+        for low in range(q ** degree):
+            poly = digits(low, q, degree) + (1,)
+            assert _is_irreducible(F, poly) == all(
+                _poly_mod(F, poly, digits(f, q, d) + (1,))
+                for d in range(1, degree // 2 + 1) for f in range(q ** d))
+
+
+@pytest.mark.parametrize("q,poly", [
+    (2, (0, 0, 1)), (2, (1, 0, 1)), (2, (1, 0, 1, 0, 1)), (3, (2, 0, 0, 1)),
+    (9, (5, 0, 0, 1)), (25, (3, 0, 0, 0, 0, 1)), (2048, (1234, 0, 1)),
+    (4096, (7, 0, 1))])
+def test_a_p_th_power_fails_without_polynomial_arithmetic(monkeypatch, q,
+                                                           poly):
+    # no term at an exponent prime to p: f' = 0, so f = g^p over GF(q)
+    F = field_from_order(q)
+
+    def forbidden(*args):
+        raise AssertionError("Ben-Or's test ran on a p-th power")
+    monkeypatch.setattr(gfield, "_poly_mul", forbidden)
+    monkeypatch.setattr(gfield, "_poly_mod", forbidden)
+    assert not _is_irreducible(F, poly)
+
+
+def test_quadratic_moduli_over_fields_without_tables_skip_the_squares(
+        monkeypatch):
+    # over GF(2^11) every x^2 + b is a square: only x^2 + x and
+    # x^2 + x + 1 reach Ben-Or's test, not the 2048 candidates before them,
+    # each about a dozen products of polynomials over GF(2^11)
+    F, calls, mul = field_from_order(2048), [], gfield._poly_mul
+    monkeypatch.setattr(gfield, "_poly_mul",
+                        lambda G, a, b: calls.append(G is F) or mul(G, a, b))
+    assert least_modulus(F, 2) == (1, 1, 1)
+    assert 0 < calls.count(True) < 100
+
+
+def test_quadratic_moduli_over_gf_2048_and_gf_4096():
+    assert extension_field(2048, 2).modulus == (1, 1, 1)
+    assert extension_field(4096, 2).modulus == (512, 1, 1)
 
 
 def test_gf4_multiplication():
