@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 MAX_ORDER = 1 << 16
 
-# full mul/inv tables are only built below this order
+# log/exp tables are only built up to this order
 _TABLE_CAP = 1 << 10
 
 
@@ -216,9 +216,28 @@ def _is_irreducible(F, poly: Tuple[int, ...]) -> bool:
     return True
 
 
+def _trace(F, c: int) -> int:
+    """Tr(c) = c + c^2 + c^4 + ... + c^(2^(e-1)), 0 or 1, over a field F
+    of characteristic 2 and order 2^e."""
+    t = c
+    for _ in range(F.e - 1):
+        c = F.mul(c, c)
+        t ^= c
+    return t
+
+
 def least_modulus(F, degree: int) -> Tuple[int, ...]:
     """The lexicographically least monic irreducible of the given degree
-    over F, coefficients compared from the constant term upward."""
+    over F, coefficients compared from the constant term upward.
+
+    A quadratic in characteristic 2 is read off the trace: x^2 + b is a
+    square, and x^2 + x + b has no root iff b is no y^2 + y iff
+    Tr(b) = 1, since y -> y^2 + y is GF(2)-linear with kernel {0, 1} and
+    lands in the kernel of Tr.  Tr is GF(2)-linear in the bits of b's
+    code, so the least such b is the least bit of trace 1."""
+    if F.p == 2 and degree == 2:
+        return next((b, 1, 1) for b in (1 << j for j in range(F.e))
+                    if _trace(F, b))
     for low in range(F.q ** degree):
         poly = digits(low, F.q, degree) + (1,)
         if _is_irreducible(F, poly):
@@ -242,7 +261,7 @@ class FieldSpec:
     instantiation skips the deterministic-modulus guarantee.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "base", "_mul_table", "_inv_table")
+    __slots__ = ("p", "e", "q", "modulus", "base", "_exp", "_log")
 
     def __init__(self, p: int, e: int, modulus: Tuple[int, ...],
                  base: Optional["FieldSpec"] = None):
@@ -251,15 +270,14 @@ class FieldSpec:
         self.q = p ** e
         self.modulus = modulus
         self.base = make_field(p) if base is None and e > 1 else base
-        self._mul_table = None
-        self._inv_table = None
+        self._exp = None
         if self.q <= _TABLE_CAP:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """mul/inv tables from the powers of the least generator g of the
-        multiplicative group: a*b = g^(log a + log b), 1/a = g^(-log a).
-        That is O(q) direct products instead of q^2/2."""
+        """log/exp tables of the least generator g of the multiplicative
+        group, from q - 2 direct products: a*b = g^(log a + log b), read
+        from the doubled exp list, and 1/a = g^(q - 1 - log a)."""
         q = self.q
         for g in range(1, q):
             exp = [1]
@@ -272,14 +290,8 @@ class FieldSpec:
         log = [0] * q
         for i, x in enumerate(exp):
             log[x] = i
-        logs = log[1:]
-        exp2 = exp + exp  # log a + log b < 2(q - 1): no reduction needed
-        mul = [0] * q
-        for la in logs:
-            mul.append(0)
-            mul += [exp2[la + lb] for lb in logs]
-        self._mul_table = mul
-        self._inv_table = [0] + [exp[-la] for la in logs]
+        self._exp = exp + exp
+        self._log = log
 
     def _mul_direct(self, a: int, b: int) -> int:
         if self.base is None:
@@ -310,15 +322,15 @@ class FieldSpec:
         return add_index(self, a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_direct(a, b)
+        if self._exp is None:
+            return self._mul_direct(a, b)
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)

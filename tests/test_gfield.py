@@ -6,7 +6,7 @@ from rankcov.gfield import (FieldSpec, digits, extension_field,
                             field_from_order, least_modulus, make_field,
                             undigits)
 from rankcov import gfield
-from rankcov.gfield import _is_irreducible, _mul_codes, _poly_mod
+from rankcov.gfield import _is_irreducible, _poly_mod, _trace
 
 
 def test_prime_field_trivial_modulus():
@@ -83,19 +83,47 @@ def test_a_p_th_power_fails_without_polynomial_arithmetic(monkeypatch, q,
 
 def test_quadratic_moduli_over_fields_without_tables_skip_the_squares(
         monkeypatch):
-    # over GF(2^11) every x^2 + b is a square: only x^2 + x and
-    # x^2 + x + 1 reach Ben-Or's test, not the 2048 candidates before them,
-    # each about a dozen products of polynomials over GF(2^11)
+    # over GF(2^11) every x^2 + b is a square, and x^2 + x + b is read off
+    # the trace of b: no candidate reaches Ben-Or's test, which would take
+    # about a dozen products of polynomials over GF(2^11) each
     F, calls, mul = field_from_order(2048), [], gfield._poly_mul
     monkeypatch.setattr(gfield, "_poly_mul",
                         lambda G, a, b: calls.append(G is F) or mul(G, a, b))
     assert least_modulus(F, 2) == (1, 1, 1)
-    assert 0 < calls.count(True) < 100
+    assert calls.count(True) == 0
 
 
 def test_quadratic_moduli_over_gf_2048_and_gf_4096():
     assert extension_field(2048, 2).modulus == (1, 1, 1)
     assert extension_field(4096, 2).modulus == (512, 1, 1)
+
+
+@pytest.mark.parametrize("q,modulus", [
+    (16384, (512, 1, 1)), (65536, (2048, 1, 1)), (2, (1, 1, 1)),
+    (8, (1, 1, 1)), (128, (1, 1, 1)), (8192, (1, 1, 1)),
+    (32768, (1, 1, 1))])
+def test_quadratic_moduli_in_characteristic_2(q, modulus):
+    # Tr(1) = e mod 2, so x^2 + x + 1 is the modulus for odd e
+    assert least_modulus(field_from_order(q), 2) == modulus
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_trace_criterion_matches_ben_or_on_every_quadratic(e):
+    # x^2 + a x + b, a != 0, is irreducible over GF(2^e) iff Tr(b/a^2) = 1,
+    # and Tr is the parity of the bits of b under the mask of basis traces
+    F = make_field(2, e)
+    mask = sum(_trace(F, 1 << j) << j for j in range(e))
+    for b in F.elements():
+        assert _trace(F, b) == bin(b & mask).count("1") % 2
+    for a in F.elements():
+        scale = F.inv(F.mul(a, a)) if a else 0
+        for b in F.elements():
+            assert _is_irreducible(F, (b, a, 1)) \
+                == (a != 0 and _trace(F, F.mul(b, scale)) == 1)
+    scan = next(poly for poly in (digits(low, F.q, 2) + (1,)
+                                  for low in range(F.q ** 2))
+                if _is_irreducible(F, poly))
+    assert least_modulus(F, 2) == scan
 
 
 def test_gf4_multiplication():
@@ -171,16 +199,49 @@ def test_frobenius_is_additive(p, e):
             assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
 
 
-def test_gf1024_tables_agree_with_polynomial_products():
-    import random
-    F = make_field(2, 10)
-    assert F._mul_table is not None
-    rng = random.Random(1024)
-    for _ in range(2000):
-        a, b = rng.randrange(1024), rng.randrange(1024)
-        assert F.mul(a, b) == _mul_codes(make_field(2), F.modulus, a, b)
+# every field with log/exp tables up to order 64: the prime powers and
+# the towers over GF(4) and GF(8)
+SMALL_TABLED = sorted((p ** e, 1) for p in range(2, 65)
+                      if all(p % d for d in range(2, p))
+                      for e in range(1, 7) if p ** e <= 64)
+SMALL_TABLED += [(4, 2), (4, 3), (8, 2)]
+
+
+@pytest.mark.parametrize("q,m", SMALL_TABLED)
+def test_tabled_products_agree_with_direct_products_exhaustively(q, m):
+    F = extension_field(q, m)
+    assert F._exp is not None
+    for a in F.elements():
+        assert [F.mul(a, b) for b in F.elements()] \
+            == [F._mul_direct(a, b) for b in F.elements()]
         if a:
-            assert _mul_codes(make_field(2), F.modulus, a, F.inv(a)) == 1
+            assert F._mul_direct(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q,m", [(243, 1), (256, 1), (729, 1), (961, 1),
+                                 (1021, 1), (1024, 1), (4, 5), (32, 2)])
+def test_tabled_products_agree_with_direct_products_on_samples(q, m):
+    F = extension_field(q, m)
+    assert F._exp is not None
+    rng = random.Random(F.q)
+    for _ in range(2000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.mul(a, b) == F._mul_direct(a, b)
+        if a:
+            assert F._mul_direct(a, F.inv(a)) == 1
+
+
+def test_gf1024_tables_hold_o_q_entries():
+    # a q^2-entry product table for GF(1024) held 8.1 MB
+    import tracemalloc
+    modulus = make_field(2, 10).modulus
+    tracemalloc.start()
+    try:
+        FieldSpec(2, 10, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_inverse_of_zero_rejected():
@@ -213,7 +274,7 @@ def test_extension_field_equality_compares_the_modulus():
 
 def test_extension_field_has_no_order_cap():
     E = extension_field(4, 9)  # 2^18 elements, above MAX_ORDER
-    assert (E.p, E.e, E.q) == (2, 18, 1 << 18) and E._mul_table is None
+    assert (E.p, E.e, E.q) == (2, 18, 1 << 18) and E._exp is None
     a, b = 0x2f3a1, 0x1b0c7
     assert E.mul(a, E.inv(a)) == 1
     assert E.mul(a, E.add(b, 1)) == E.add(E.mul(a, b), a)
@@ -229,7 +290,7 @@ def test_field_from_order():
 
 def test_large_field_no_tables():
     F = make_field(2, 12)  # above the table cap
-    assert F._mul_table is None
+    assert F._exp is None
     a, b = 0b101, 0b11010
     assert F.mul(a, F.inv(a)) == 1
     assert F.mul(a, F.add(b, 1)) == F.add(F.mul(a, b), a)

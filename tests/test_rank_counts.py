@@ -81,7 +81,7 @@ def test_kernel_matches_rank_of_index_on_every_index(q, k, m):
 
 @pytest.mark.parametrize("q", (16, 32, 256, 2048))
 def test_kernel_on_larger_fields(q, kernel_sample):
-    F = field_from_order(q)  # GF(2048) has no mul table: F.mul computes
+    F = field_from_order(q)  # GF(2048) has no tables: F.mul computes
     rng = random.Random(q)
     for k, m in ((1, 2), (2, 2), (2, 3)):
         sample = kernel_sample(F, k, m, rng)
